@@ -39,7 +39,8 @@ def bench_fd(mod, p, a, b):
 def bench_resample(mod, cw):
     def run():
         for _ in range(200):
-            mod.resample_indices(cw, 0.37, cw.size)
+            idx = mod.resample_indices(cw, 0.37, cw.size)
+        return idx
 
     return run
 
@@ -86,10 +87,13 @@ def main():
         xb, yb = bench_heston(mods["cython"], x0, y0, db, dw)()
         pa = bench_fd(mods["numpy"], p, a, b)()
         pb = bench_fd(mods["cython"], p, a, b)()
+        ia = bench_resample(mods["numpy"], cw)()
+        ib = bench_resample(mods["cython"], cw)()
         same = (
             np.array_equal(xa, xb)
             and np.array_equal(ya, yb)
             and np.array_equal(pa, pb)
+            and np.array_equal(ia, ib)
         )
         print(f"backends bit-identical on benchmark inputs: {same}")
 

@@ -205,11 +205,15 @@ def resample_systematic(ens: ParticleEnsemble, rng: RngStream) -> ParticleEnsemb
     return _resample_with_offset(ens, u0)
 
 
-def _resample_with_offset(ens: ParticleEnsemble, u0: float) -> ParticleEnsemble:
+def _resample_with_offset(
+    ens: ParticleEnsemble, u0: float, n_out: int | None = None
+) -> ParticleEnsemble:
+    """Systematic resampling to n_out (default ens.n) uniformly weighted atoms."""
+    n_out = ens.n if n_out is None else n_out
     cw = np.cumsum(ens.weights)
     cw[-1] = 1.0  # guard against rounding in the final cumulative weight
-    idx = _kernels.resample_indices(cw, u0, ens.n)
-    lw = np.full(ens.n, -np.log(ens.n))
+    idx = _kernels.resample_indices(cw, u0, n_out)
+    lw = np.full(n_out, -np.log(n_out))
     return ParticleEnsemble(positions=ens.positions[idx], log_weights=lw, normalized=True)
 
 

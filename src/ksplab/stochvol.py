@@ -174,19 +174,32 @@ def bs_call_price(spot: float, spec: CallSpec, mean_variance: float, t_now: floa
     return spot * _norm_cdf(d1) - spec.strike * discount * _norm_cdf(d2)
 
 
+# Kernel columns per inner Monte Carlo call: bounds the chunk's arrays at
+# about 4 x 8 x 256 x (n_steps + 1) bytes while keeping nearly all the gain
+# of batching (peak memory grows with the column count).
+_INNER_COLUMNS = 256
+
+
 def simulate_variance_paths(
-    model: HestonModel, x0: float, n_paths: int, n_steps: int, dt: float, gen: np.random.Generator,
-    antithetic: bool = False,
+    model: HestonModel, x0: np.ndarray, n_paths: int, n_steps: int, dt: float,
+    gens: list[np.random.Generator],
 ) -> np.ndarray:
-    """Forward variance paths from a fixed starting value, shape (n_steps+1, n_paths)."""
-    if antithetic:
-        half = (n_paths + 1) // 2
+    """Antithetic variance paths for several starting values in one kernel call.
+
+    Starting value ``x0[i]`` gets ``n_paths`` columns driven by its own
+    generator ``gens[i]``: half a block of normals and its negation, cut to
+    ``n_paths``.  The blocks sit side by side, so the result has shape
+    (n_steps+1, len(x0) * n_paths) with value i in columns
+    ``i*n_paths : (i+1)*n_paths``.
+    """
+    half = (n_paths + 1) // 2
+    blocks = []
+    for gen in gens:
         z = gen.standard_normal((n_steps, half)) * np.sqrt(dt)
-        db = np.concatenate([z, -z], axis=1)[:, :n_paths]
-    else:
-        db = gen.standard_normal((n_steps, n_paths)) * np.sqrt(dt)
+        blocks.append(np.concatenate([z, -z], axis=1)[:, :n_paths])
+    db = np.concatenate(blocks, axis=1)
     x, _ = _kernels.heston_paths(
-        np.full(db.shape[1], x0),
+        np.repeat(x0, n_paths),
         np.zeros(db.shape[1]),
         db,
         np.zeros_like(db),
@@ -212,9 +225,18 @@ def filtered_option_price(
     """Posterior-averaged Black-Scholes price over the variance ensemble.
 
     For each particle the average variance to maturity is estimated by an
-    antithetic inner Monte Carlo (per-particle substreams, so the result
-    does not depend on evaluation order), plugged into the Black-Scholes
-    formula, and averaged with the particle weights.
+    antithetic inner Monte Carlo, plugged into the Black-Scholes formula,
+    and averaged with the particle weights.
+
+    The inner Monte Carlo runs in chunks of ``max(1, 256 // inner_paths)``
+    particles, one kernel call per chunk, so the chunk's arrays never hold
+    more than 256 columns (or one particle's ``inner_paths``) of
+    ``n_steps + 1`` values.  The result equals evaluating each particle on
+    its own, bit for bit: particle i draws from its own substream
+    ``rng.substream(i)`` (so the result does not depend on evaluation
+    order or chunking), and the full-truncation Euler step, the quadrature
+    sum and the mean over a particle's paths do the same arithmetic on each
+    column whatever its neighbours are.
     """
     if not ens.normalized:
         raise ValueError("ensemble must be normalized")
@@ -229,13 +251,17 @@ def filtered_option_price(
     n_steps = int(np.ceil(tau / inner_dt - 1e-9))
     dt = tau / n_steps
 
-    prices = np.empty(ens.n)
-    for i, x0 in enumerate(ens.positions[:, 0]):
-        gen = rng.substream(i).generator()
-        x = simulate_variance_paths(model, float(x0), inner_paths, n_steps, dt, gen, antithetic=True)
+    x0s = ens.positions[:, 0]
+    chunk = max(1, _INNER_COLUMNS // inner_paths)
+    zbar = np.empty(ens.n)
+    for lo in range(0, ens.n, chunk):
+        hi = min(lo + chunk, ens.n)
+        gens = [rng.substream(i).generator() for i in range(lo, hi)]
+        x = simulate_variance_paths(model, x0s[lo:hi], inner_paths, n_steps, dt, gens)
         # left-point quadrature of the truncated variance over [t, T]
-        zbar = float(np.mean(np.sum(np.maximum(x[:-1], 0.0), axis=0) * dt / tau))
-        prices[i] = bs_call_price(spot, spec, zbar, t_now)
+        path_avg = np.sum(np.maximum(x[:-1], 0.0), axis=0) * dt / tau
+        zbar[lo:hi] = path_avg.reshape(hi - lo, inner_paths).mean(axis=1)
+    prices = np.array([bs_call_price(spot, spec, float(z), t_now) for z in zbar])
     return float(ens.weights @ prices)
 
 

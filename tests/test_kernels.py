@@ -1,7 +1,10 @@
-"""The compiled core and the numpy fallback must agree bit for bit."""
+"""The compiled core and the numpy fallback must agree bit for bit, and the
+kernels' column independence, which batching relies on, must hold on both."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksplab._kernels import BACKEND, backends, fd_substep, heston_paths, resample_indices
 from ksplab._kernels import _numpy
@@ -82,3 +85,36 @@ class TestNumpyKernelSemantics:
         # truncated variance is 0: drift pulls toward m, Y drifts by mu dt
         assert x[1, 0] == pytest.approx(-0.5 + 0.1 * 0.04)
         assert y[1, 0] == 0.0
+
+
+class TestHestonColumnBlocks:
+    """Columns never interact: a batch of column blocks run side by side in one
+    call equals the blocks run separately, bit for bit, on every backend."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        steps=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+        dt=st.floats(1e-4, 0.1),
+        kappa=st.floats(0.0, 5.0),
+        m=st.floats(0.0, 0.2),
+        gamma=st.floats(0.0, 3.0),  # large gamma drives x below 0: truncation active
+        mu=st.floats(-0.2, 0.2),
+    )
+    def test_side_by_side_blocks_equal_separate_calls(self, widths, steps, seed, dt, kappa, m, gamma, mu):
+        rng = np.random.default_rng(seed)
+        n = sum(widths)
+        x0 = rng.uniform(-0.05, 0.2, n)
+        y0 = rng.normal(size=n)
+        db = rng.normal(size=(steps, n)) * np.sqrt(dt)
+        dw = rng.normal(size=(steps, n)) * np.sqrt(dt)
+        bounds = np.cumsum([0] + widths)
+        for mod in backends().values():
+            x, y = mod.heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu)
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                xb, yb = mod.heston_paths(
+                    x0[lo:hi], y0[lo:hi], db[:, lo:hi], dw[:, lo:hi], dt, kappa, m, gamma, mu
+                )
+                assert np.array_equal(x[:, lo:hi], xb)
+                assert np.array_equal(y[:, lo:hi], yb)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ksplab import _kernels
 from ksplab import (
     CallSpec,
     HestonModel,
@@ -246,6 +247,52 @@ class TestFilteredOptionPrice:
         a = filtered_option_price(ens, model, spec, 100.0, 16, RngStream(16, 4))
         b = filtered_option_price(ens, model, spec, 100.0, 16, RngStream(16, 4))
         assert a == b
+
+
+def per_particle_price(ens, model, spec, spot, inner_paths, rng, t_now=0.0, inner_dt=None):
+    """Reference: one kernel call per particle, on the particle's own substream."""
+    tau = spec.maturity - t_now
+    inner_dt = tau / 200 if inner_dt is None else inner_dt
+    n_steps = int(np.ceil(tau / inner_dt - 1e-9))
+    dt = tau / n_steps
+    half = (inner_paths + 1) // 2
+    prices = np.empty(ens.n)
+    for i, x0 in enumerate(ens.positions[:, 0]):
+        z = rng.substream(i).generator().standard_normal((n_steps, half)) * np.sqrt(dt)
+        db = np.concatenate([z, -z], axis=1)[:, :inner_paths]
+        x, _ = _kernels.heston_paths(
+            np.full(inner_paths, float(x0)), np.zeros(inner_paths), db, np.zeros_like(db),
+            dt, model.kappa, model.m, model.gamma, 0.0,
+        )
+        zbar = float(np.mean(np.sum(np.maximum(x[:-1], 0.0), axis=0) * dt / tau))
+        prices[i] = bs_call_price(spot, spec, zbar, t_now)
+    return float(ens.weights @ prices)
+
+
+class TestBatchedInnerMonteCarlo:
+    """The chunked inner Monte Carlo equals per-particle evaluation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, inner_paths, t_now, inner_dt",
+        [
+            (200, 64, 0.0, None),  # several 4-particle chunks
+            (7, 64, 0.0, None),  # a particle count that is no multiple of the chunk
+            (80, 7, 0.0, None),  # odd path count: the antithetic block is cut
+            (3, 300, 0.0, None),  # more paths than a chunk's columns: one particle each
+            (25, 16, 0.3, 1e-2),  # explicit inner step after the valuation time
+        ],
+    )
+    def test_equals_per_particle_reference(self, n, inner_paths, t_now, inner_dt):
+        # gamma large enough that the inner paths hit the truncation at zero
+        model = default_heston(kappa=1.5, m=0.04, gamma=0.6)
+        spec = CallSpec(strike=95.0, maturity=1.0, rate=0.01)
+        gen = RngStream(21, n).generator()
+        positions = gen.uniform(0.0, 0.12, (n, 1))
+        w = gen.uniform(0.1, 1.0, n)
+        ens = ParticleEnsemble(positions=positions, log_weights=np.log(w / w.sum()), normalized=True)
+        args = (ens, model, spec, 101.0, inner_paths, RngStream(22, n))
+        kwargs = dict(t_now=t_now, inner_dt=inner_dt)
+        assert filtered_option_price(*args, **kwargs) == per_particle_price(*args, **kwargs)
 
 
 class TestHestonFilter:
