@@ -70,7 +70,7 @@ class ParticleEnsemble:
             raise ValueError("particle positions must be finite")
         if self.normalized:
             total = np.sum(np.exp(lw))
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:  # also rejects a NaN total
                 raise ValueError(f"normalized weights sum to {total!r}")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "log_weights", lw)
@@ -105,6 +105,8 @@ class GridDensity:
             raise ValueError("grid must be uniform")
         if values.shape != nodes.shape:
             raise ValueError("one value per node required")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("density values must be finite")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
         object.__setattr__(self, "nodes", nodes)
@@ -180,14 +182,18 @@ def pf_init(law: InitialLaw, n_particles: int, rng: RngStream) -> ParticleEnsemb
     return ParticleEnsemble(positions=positions, log_weights=lw, normalized=True)
 
 
+def _phi_values(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    vals = np.asarray(phi(ens.positions), dtype=float)
+    if vals.shape != (ens.n,):
+        raise ValueError(f"phi must return shape ({ens.n},), got {vals.shape}")
+    return vals
+
+
 def pf_estimate(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) -> float:
     """Weighted mean sum_i w_i phi(x_i); phi maps (n, d) -> (n,)."""
     if not ens.normalized:
         raise ValueError("ensemble must be normalized")
-    vals = np.asarray(phi(ens.positions), dtype=float)
-    if vals.shape != (ens.n,):
-        raise ValueError(f"phi must return shape ({ens.n},), got {vals.shape}")
-    return float(ens.weights @ vals)
+    return float(ens.weights @ _phi_values(ens, phi))
 
 
 def ess(ens: ParticleEnsemble) -> float:
@@ -289,9 +295,11 @@ def run_particle_filter(
     ess_series = np.empty(n_times)
 
     def record(k, e):
+        # the arithmetic of pf_estimate and ess, with the weights taken once
+        w = e.weights
         for name, phi in phis.items():
-            moments[name][k] = pf_estimate(e, phi)
-        ess_series[k] = ess(e)
+            moments[name][k] = float(w @ _phi_values(e, phi))
+        ess_series[k] = float(1.0 / np.sum(w**2))
 
     record(0, ens)
     dt = obs_path.dt
@@ -305,13 +313,70 @@ def run_particle_filter(
 # grid solver
 
 
-def stability_dt_bound(dens: GridDensity, model: DiffusionModel) -> float:
-    """Largest admissible step 0.4 cell^2 / max b(x) for the explicit scheme."""
-    b = model.diffusion_matrix(dens.nodes[:, None])[..., 0, 0]
-    bmax = float(np.max(b))
+def _dt_bound(b_nodes: np.ndarray, cell: float) -> float:
+    bmax = float(np.max(b_nodes))
     if bmax == 0.0:
         return np.inf
-    return 0.4 * dens.cell**2 / bmax
+    return 0.4 * cell**2 / bmax
+
+
+def stability_dt_bound(dens: GridDensity, model: DiffusionModel) -> float:
+    """Largest admissible step 0.4 cell^2 / max b(x) for the explicit scheme."""
+    return _dt_bound(model.diffusion_matrix(dens.nodes[:, None])[..., 0, 0], dens.cell)
+
+
+def _grid_stepper(
+    model: DiffusionModel,
+    obs: ObservationModel,
+    nodes: np.ndarray,
+    dt: float,
+    max_floored_fraction: float,
+) -> Callable[[np.ndarray, float, int], np.ndarray]:
+    """Prepare Zakai substeps of length ``dt`` on fixed grid nodes.
+
+    Drift, diffusion and sensor depend on the state alone, so they, the
+    stability check and h^2 dt / 2 are evaluated here once.  The returned
+    ``advance(p, dY, n_sub)`` makes ``n_sub`` substeps on bare node values:
+    each is the forward-Kolmogorov stencil, the flooring check and cap, and
+    multiplication by exp(h dY - h^2 dt / 2), a factor computed once per
+    call because every substep takes the same increment ``dY``.
+    """
+    if model.dim_state != 1:
+        raise ValueError("grid solver handles 1-D state models only")
+    if obs.dim_obs != 1:
+        raise ValueError("grid solver handles scalar observations only")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    cell = float(nodes[1] - nodes[0])
+    nodes_col = nodes[:, None]
+    b_nodes = model.diffusion_matrix(nodes_col)[..., 0, 0]
+    bound = _dt_bound(b_nodes, cell)
+    if dt > bound * (1 + 1e-12):
+        raise ValueError(
+            f"dt={dt} violates the stability bound; largest admissible dt is {bound:.6e}"
+        )
+    a_nodes = np.asarray(model.drift(nodes_col))[:, 0]
+    h = obs.sensor_values(nodes_col)[:, 0]
+    half_h2_dt = 0.5 * h * h * dt
+
+    def advance(p: np.ndarray, dY: float, n_sub: int = 1) -> np.ndarray:
+        factor = np.exp(h * dY - half_h2_dt)
+        for _ in range(n_sub):
+            p = _kernels.fd_substep(p, a_nodes, b_nodes, dt, cell)
+            neg = p < 0
+            if np.any(neg):
+                floored = -float(np.sum(p[neg]))
+                total = float(np.sum(np.abs(p)))
+                if total > 0 and floored > max_floored_fraction * total:
+                    raise RuntimeError(
+                        f"flooring removed {floored / total:.3e} of the mass "
+                        f"(limit {max_floored_fraction})"
+                    )
+                p = np.where(neg, 0.0, p)
+            p = p * factor
+        return p
+
+    return advance
 
 
 def zakai_grid_step(
@@ -329,37 +394,8 @@ def zakai_grid_step(
     carries the admissible step) or if flooring negative values removes
     more than ``max_floored_fraction`` of the total mass.
     """
-    if model.dim_state != 1:
-        raise ValueError("grid solver handles 1-D state models only")
-    if obs.dim_obs != 1:
-        raise ValueError("grid solver handles scalar observations only")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    bound = stability_dt_bound(dens, model)
-    if dt > bound * (1 + 1e-12):
-        raise ValueError(
-            f"dt={dt} violates the stability bound; largest admissible dt is {bound:.6e}"
-        )
-
-    nodes_col = dens.nodes[:, None]
-    a_nodes = np.asarray(model.drift(nodes_col))[:, 0]
-    b_nodes = model.diffusion_matrix(nodes_col)[..., 0, 0]
-    p = _kernels.fd_substep(dens.values, a_nodes, b_nodes, dt, dens.cell)
-
-    neg = p < 0
-    if np.any(neg):
-        floored = -float(np.sum(p[neg]))
-        total = float(np.sum(np.abs(p)))
-        if total > 0 and floored > max_floored_fraction * total:
-            raise RuntimeError(
-                f"flooring removed {floored / total:.3e} of the mass (limit {max_floored_fraction})"
-            )
-        p = np.where(neg, 0.0, p)
-
-    h = obs.sensor_values(nodes_col)[:, 0]
-    p = p * np.exp(h * float(dY) - 0.5 * h * h * dt)
-
-    out = GridDensity(dens.nodes, p)
+    advance = _grid_stepper(model, obs, dens.nodes, dt, max_floored_fraction)
+    out = GridDensity(dens.nodes, advance(dens.values, float(dY)))
     return out.normalized() if normalize else out
 
 
@@ -384,6 +420,13 @@ def run_grid_filter(
     one full update.  With ``renormalize=False`` the density evolves as the
     unnormalized measure (moments are still reported against the
     normalized copy).
+
+    Prepared once per run: drift, diffusion and sensor at the nodes, the
+    stability check, and h^2 dt / 2; the factor exp(h dY - h^2 dt / 2) once
+    per observation increment.  Each substep runs only the
+    forward-Kolmogorov stencil, the flooring check and cap, and the
+    multiplication by that factor.  The density is validated (and, with
+    ``renormalize``, normalized) once per observation step.
     """
     phis = dict(phis if phis is not None else default_test_functions(max(abs(x_lo), abs(x_hi))))
     if ksp_phi is not None:
@@ -397,6 +440,7 @@ def run_grid_filter(
     n_sub = max(1, int(np.ceil(dt / bound - 1e-12)))
     # per-step flooring cap sized so that the whole run loses < 1e-6 of mass
     floor_cap = 1e-6 / (n_sub * max(1, obs_path.increments.shape[0]))
+    advance = _grid_stepper(model, obs_model, dens.nodes, dt / n_sub, floor_cap)
 
     n_times = obs_path.times.size
     moments = {name: np.empty(n_times) for name in phis}
@@ -412,17 +456,9 @@ def run_grid_filter(
 
     record(0, dens)
     for k, dy in enumerate(obs_path.increments):
-        for j in range(n_sub):
-            last = j == n_sub - 1
-            dens = zakai_grid_step(
-                model,
-                obs_model,
-                dens,
-                float(dy[0]) / n_sub,
-                dt / n_sub,
-                normalize=renormalize and last,
-                max_floored_fraction=floor_cap,
-            )
+        dens = GridDensity(dens.nodes, advance(dens.values, float(dy[0]) / n_sub, n_sub))
+        if renormalize:
+            dens = dens.normalized()
         record(k + 1, dens)
     series = FilterEstimate(times=obs_path.times.copy(), moments=moments, ess=ess_series)
     return (series, dens) if return_final else series

@@ -26,7 +26,11 @@ from .sde import DiffusionModel, SamplePath, simulate_ensemble
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Sensor map h with unit-intensity additive observation noise."""
+    """Sensor map h with unit-intensity additive observation noise.
+
+    ``sensor`` must be a deterministic function of the state alone: the
+    grid solver evaluates it once per run at its nodes.
+    """
 
     dim_obs: int
     sensor: Callable[[np.ndarray], np.ndarray]

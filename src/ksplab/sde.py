@@ -96,6 +96,11 @@ class DiffusionModel:
     ``(..., d, q)``; the diffusion matrix ``b = sigma sigma^T`` is therefore
     symmetric PSD by construction (checked on sampled points at simulation
     start, mostly to catch NaNs and shape bugs early).
+
+    ``drift`` and ``diffusion_factor`` must be deterministic functions of
+    the state alone (no time, no randomness, no hidden state): the grid
+    solver evaluates them once per run at its nodes and reuses the values
+    on every substep.
     """
 
     dim_state: int

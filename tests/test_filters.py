@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ksplab import (
+    DiffusionModel,
     EnsembleCollapseError,
     GaussianBelief,
     GridDensity,
@@ -12,7 +13,10 @@ from ksplab import (
     ObservationPath,
     ParticleEnsemble,
     RngStream,
+    constant_diffusion,
+    default_test_functions,
     ess,
+    ksp_moment_functions,
     ksp_residual,
     pf_estimate,
     pf_init,
@@ -26,6 +30,8 @@ from ksplab import (
     stability_dt_bound,
     zakai_grid_step,
 )
+
+from ksplab import _kernels
 
 from conftest import brownian_motion, constant_sensor, deterministic_model, identity_sensor
 
@@ -203,6 +209,47 @@ class TestPfStep:
             pf_step(model, identity_sensor(), ens, [0.0], 0.1, RngStream(0))
 
 
+def reference_particle_filter(sm, om, obs, n_particles, rng, ksp_phi=None, resample_threshold=0.5):
+    """run_particle_filter as a plain fold of pf_step, recorded with pf_estimate and ess."""
+    phis = default_test_functions()
+    if ksp_phi is not None:
+        phis.update(ksp_moment_functions(sm, om, *ksp_phi))
+    ens = pf_init(sm.initial_law, n_particles, rng.substream(0))
+    rows = [({name: pf_estimate(ens, phi) for name, phi in phis.items()}, ess(ens))]
+    for k, dy in enumerate(obs.increments):
+        ens = pf_step(sm, om, ens, dy, obs.dt, rng.substream(k + 1), resample_threshold)
+        rows.append(({name: pf_estimate(ens, phi) for name, phi in phis.items()}, ess(ens)))
+    moments = {name: np.array([m[name] for m, _ in rows]) for name in phis}
+    return moments, np.array([e for _, e in rows])
+
+
+class TestParticleRecording:
+    """Recording takes the weights once per step; the moments and ESS must be
+    the bits pf_estimate and ess give."""
+
+    @pytest.mark.parametrize("ksp_phi", [None, KSP_PHI_X])
+    def test_equals_fold_with_pf_estimate(self, ksp_phi):
+        model, sm, om, truth, obs = linear_setup(61, horizon=0.1)
+        n = 300
+        est = run_particle_filter(
+            sm, om, obs, n, RngStream(61, 3), ksp_phi=ksp_phi, resample_threshold=0.99
+        )
+        moments, ess_ref = reference_particle_filter(
+            sm, om, obs, n, RngStream(61, 3), ksp_phi=ksp_phi, resample_threshold=0.99
+        )
+        assert set(est.moments) == set(moments)
+        for name in moments:
+            assert np.array_equal(est.moments[name], moments[name]), name
+        assert np.array_equal(est.ess, ess_ref)
+        # the threshold resampled the ensemble to uniform weights on some steps
+        assert np.sum(np.isclose(est.ess[1:], n, rtol=1e-12)) > 0
+
+    def test_phi_shape_still_checked(self):
+        model, sm, om, truth, obs = linear_setup(62, horizon=0.01)
+        with pytest.raises(ValueError, match="phi must return shape"):
+            run_particle_filter(sm, om, obs, 50, RngStream(62, 3), phis={"bad": lambda x: x})
+
+
 def gaussian_grid(mean, var, x_lo=-6.0, x_hi=6.0, n=801):
     law = InitialLaw.gaussian([mean], [[var]])
     return GridDensity.from_initial_law(law, x_lo, x_hi, n)
@@ -287,6 +334,170 @@ class TestZakaiGridStep:
         est = run_grid_filter(sm, om, obs, -6.0, 6.0, 101)
         assert np.all(est.ess >= 1.0)
         assert np.all(est.ess <= 101.0)
+
+
+def reference_grid_filter(
+    model, obs_model, obs_path, x_lo, x_hi, n_grid, ksp_phi=None, renormalize=True, initial=None
+):
+    """run_grid_filter written out as one-substep updates: every substep checks
+    the stability bound, evaluates drift, diffusion and sensor afresh, floors,
+    multiplies by exp(h dY - h^2 dt / 2) and builds a GridDensity, normalizing
+    on the last substep of each observation step."""
+    phis = default_test_functions(max(abs(x_lo), abs(x_hi)))
+    if ksp_phi is not None:
+        phis.update(ksp_moment_functions(model, obs_model, *ksp_phi))
+    dens = initial if initial is not None else GridDensity.from_initial_law(
+        model.initial_law, x_lo, x_hi, n_grid
+    )
+    dt = obs_path.dt
+    n_sub = max(1, int(np.ceil(dt / stability_dt_bound(dens, model) - 1e-12)))
+    floor_cap = 1e-6 / (n_sub * max(1, obs_path.increments.shape[0]))
+    rows = []
+
+    def record(d):
+        dn = d.normalized()
+        w = dn.values / np.sum(dn.values)
+        moments = {
+            name: dn.moment(lambda nodes, phi=phi: phi(nodes[:, None])) for name, phi in phis.items()
+        }
+        rows.append((moments, 1.0 / np.sum(w**2)))
+
+    record(dens)
+    nodes_col = dens.nodes[:, None]
+    sub_dt = dt / n_sub
+    for dy in obs_path.increments:
+        dY = float(dy[0]) / n_sub
+        for j in range(n_sub):
+            assert sub_dt <= stability_dt_bound(dens, model) * (1 + 1e-12)
+            a_nodes = np.asarray(model.drift(nodes_col))[:, 0]
+            b_nodes = model.diffusion_matrix(nodes_col)[..., 0, 0]
+            p = _kernels.fd_substep(dens.values, a_nodes, b_nodes, sub_dt, dens.cell)
+            neg = p < 0
+            if np.any(neg):
+                floored = -float(np.sum(p[neg]))
+                total = float(np.sum(np.abs(p)))
+                assert not (total > 0 and floored > floor_cap * total)
+                p = np.where(neg, 0.0, p)
+            h = obs_model.sensor_values(nodes_col)[:, 0]
+            p = p * np.exp(h * dY - 0.5 * h * h * sub_dt)
+            dens = GridDensity(dens.nodes, p)
+            if renormalize and j == n_sub - 1:
+                dens = dens.normalized()
+        record(dens)
+    moments = {name: np.array([m[name] for m, _ in rows]) for name in phis}
+    return moments, np.array([e for _, e in rows]), dens, n_sub
+
+
+class TestPreparedGridStepper:
+    """The grid filter prepares drift, diffusion, sensor, the stability check
+    and the exp factor once; its outputs must be the bits of the per-substep loop."""
+
+    @pytest.mark.parametrize(
+        "n_grid, renormalize, use_initial, ksp_phi",
+        [
+            (801, True, False, None),  # 12 substeps per observation step
+            (801, False, False, KSP_PHI_X),
+            (201, True, True, KSP_PHI_X),  # one substep, given initial density
+            (401, False, True, None),
+        ],
+    )
+    def test_equals_per_substep_reference(self, n_grid, renormalize, use_initial, ksp_phi):
+        model, sm, om, truth, obs = linear_setup(63, horizon=0.03)
+        initial = gaussian_grid(0.4, 0.5, n=n_grid) if use_initial else None
+        series, final = run_grid_filter(
+            sm, om, obs, -6.0, 6.0, n_grid, ksp_phi=ksp_phi,
+            renormalize=renormalize, initial=initial, return_final=True,
+        )
+        moments, ess_ref, final_ref, n_sub = reference_grid_filter(
+            sm, om, obs, -6.0, 6.0, n_grid, ksp_phi=ksp_phi,
+            renormalize=renormalize, initial=initial,
+        )
+        if n_grid == 801:
+            assert n_sub == 12
+        assert set(series.moments) == set(moments)
+        for name in moments:
+            assert np.array_equal(series.moments[name], moments[name]), name
+        assert np.array_equal(series.ess, ess_ref)
+        assert np.array_equal(final.values, final_ref.values)
+
+    def test_zakai_grid_step_equals_one_reference_substep(self):
+        model, sm, om, truth, obs = linear_setup(64, horizon=0.01)
+        dens = gaussian_grid(0.2, 0.3, n=201)
+        dt = 0.5 * stability_dt_bound(dens, sm)
+        nodes_col = dens.nodes[:, None]
+        p = _kernels.fd_substep(
+            dens.values,
+            np.asarray(sm.drift(nodes_col))[:, 0],
+            sm.diffusion_matrix(nodes_col)[..., 0, 0],
+            dt,
+            dens.cell,
+        )
+        h = om.sensor_values(nodes_col)[:, 0]
+        expected = p * np.exp(h * 0.03 - 0.5 * h * h * dt)
+        out = zakai_grid_step(sm, om, dens, 0.03, dt)
+        assert np.array_equal(out.values, expected)
+        normed = zakai_grid_step(sm, om, dens, 0.03, dt, normalize=True)
+        assert np.array_equal(normed.values, GridDensity(dens.nodes, expected).normalized().values)
+
+
+def drift_against_weak_diffusion():
+    """Strong constant drift, weak diffusion: upwind of a spike the central
+    flux goes negative, so the substep produces negative mass."""
+    return DiffusionModel(
+        dim_state=1,
+        drift=lambda x: np.full_like(np.asarray(x, dtype=float), 5.0),
+        diffusion_factor=constant_diffusion([[0.1]]),
+        initial_law=InitialLaw.point_mass([0.0]),
+    )
+
+
+class TestFlooringCap:
+    def test_zakai_grid_step_raises_past_the_cap(self):
+        model = drift_against_weak_diffusion()
+        dens = GridDensity.from_initial_law(model.initial_law, -6.0, 6.0, 201)
+        with pytest.raises(RuntimeError, match="flooring removed"):
+            zakai_grid_step(model, constant_sensor(0.0), dens, 0.0, 1e-3, max_floored_fraction=0.0)
+
+    def test_loose_cap_floors_to_nonnegative(self):
+        model = drift_against_weak_diffusion()
+        dens = GridDensity.from_initial_law(model.initial_law, -6.0, 6.0, 201)
+        nodes_col = dens.nodes[:, None]
+        raw = _kernels.fd_substep(
+            dens.values,
+            np.asarray(model.drift(nodes_col))[:, 0],
+            model.diffusion_matrix(nodes_col)[..., 0, 0],
+            1e-3,
+            dens.cell,
+        )
+        assert np.any(raw < 0)
+        out = zakai_grid_step(model, constant_sensor(0.0), dens, 0.0, 1e-3, max_floored_fraction=1.0)
+        assert np.all(out.values >= 0.0)
+        assert np.array_equal(out.values, np.where(raw < 0, 0.0, raw))
+
+    def test_run_grid_filter_raises(self):
+        model = drift_against_weak_diffusion()
+        times = np.arange(11) * 1e-3
+        obs = ObservationPath.from_increments(times, np.zeros((10, 1)))
+        with pytest.raises(RuntimeError, match="flooring removed"):
+            run_grid_filter(model, constant_sensor(0.0), obs, -6.0, 6.0, 201)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_grid_density_values(self, bad):
+        nodes = np.linspace(-1.0, 1.0, 5)
+        values = np.ones(5)
+        values[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridDensity(nodes, values)
+
+    def test_normalized_ensemble_nan_log_weight(self):
+        with pytest.raises(ValueError, match="normalized weights sum"):
+            ParticleEnsemble(
+                positions=np.zeros((3, 1)),
+                log_weights=np.array([np.log(0.5), np.log(0.5), np.nan]),
+                normalized=True,
+            )
 
 
 class TestKspResidual:

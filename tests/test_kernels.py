@@ -1,5 +1,7 @@
 """The compiled core and the numpy fallback must agree bit for bit, and the
-kernels' column independence, which batching relies on, must hold on both."""
+kernel properties callers rely on must hold on both: column independence
+(batching), conservation of the plain sum (the grid stepper), and sorted,
+in-range systematic-resampling indices with copy counts within 1 of n w_i."""
 
 import numpy as np
 import pytest
@@ -118,3 +120,54 @@ class TestHestonColumnBlocks:
                 )
                 assert np.array_equal(x[:, lo:hi], xb)
                 assert np.array_equal(y[:, lo:hi], yb)
+
+
+class TestFdSubstepConservation:
+    """The grid stepper floors and reweights after the stencil, so the stencil
+    itself must conserve the plain sum; on every backend, to within rounding."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        a_scale=st.floats(0.0, 20.0),
+        b_scale=st.floats(0.0, 5.0),
+        cell=st.floats(1e-3, 1.0),
+        dt_frac=st.floats(0.0, 1.0),
+    )
+    def test_plain_sum_conserved(self, n, seed, a_scale, b_scale, cell, dt_frac):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(0.0, 1.0, n) * rng.integers(0, 2, n)  # spiky, with zeros
+        a = rng.normal(size=n) * a_scale
+        b = rng.uniform(0.0, 1.0, n) * b_scale
+        dt = dt_frac * 0.4 * cell**2 / max(float(np.max(b)), 1e-12)
+        # rounding scale: every term that enters the sum
+        scale = np.sum(p) + dt / cell * np.sum(np.abs(a * p) + np.abs(b * p) / cell)
+        for mod in backends().values():
+            out = mod.fd_substep(p, a, b, dt, cell)
+            assert abs(np.sum(out) - np.sum(p)) <= 1e-13 * n * scale
+
+
+class TestResampleIndicesProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=60),
+        n_out=st.integers(1, 200),
+        u0=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_sorted_in_range_and_counts_within_one(self, weights, n_out, u0):
+        w = np.asarray(weights)
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        cw = np.cumsum(w / w.sum())
+        cw[-1] = 1.0
+        # the interval each atom owns on the cumulative scale
+        owned = np.diff(cw, prepend=0.0)
+        for mod in backends().values():
+            idx = mod.resample_indices(cw, u0, n_out)
+            assert idx.shape == (n_out,)
+            assert np.all(np.diff(idx) >= 0)
+            assert idx[0] >= 0 and idx[-1] < w.size
+            # systematic resampling: each atom's copy count is within 1 of n w_i
+            counts = np.bincount(idx, minlength=w.size)
+            assert np.all(np.abs(counts - n_out * owned) <= 1.0 + 1e-9)
