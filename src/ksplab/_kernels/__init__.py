@@ -3,25 +3,16 @@
 At import time the Cython extension ``_core`` is preferred; if it is not
 built the pure-numpy module ``_numpy`` provides the same functions with
 identical semantics (and identical bits; see ``_numpy`` docstring).
-``BACKEND`` names the selected implementation.  Setting the environment
-variable ``KSPLAB_DISABLE_EXT=1`` before import forces the fallback (a
-development knob for exercising both code paths; outputs are identical).
+``BACKEND`` names the selected implementation.
 """
-
-import os
 
 from . import _numpy
 
-_impl = None
-if not os.environ.get("KSPLAB_DISABLE_EXT"):
-    try:
-        from . import _core as _impl
-    except ImportError:  # extension not built
-        _impl = None
+try:
+    from . import _core as _impl
 
-if _impl is not None:
     BACKEND = "cython"
-else:
+except ImportError:  # extension not built
     _impl = _numpy
     BACKEND = "numpy"
 

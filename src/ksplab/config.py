@@ -22,13 +22,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Key:
-    """One schema entry: expected type, default, and admissible range."""
+    """One schema entry: expected type, default (``None``: required), admissible range."""
 
     type: type
     default: object = None
     lo: float | None = None
     hi: float | None = None
-    required: bool = False
 
     def check(self, name: str, value) -> str | None:
         if self.type is float and isinstance(value, int) and not isinstance(value, bool):
@@ -162,9 +161,8 @@ def validate_config(scenario: str, raw: dict, overrides: dict | None = None) -> 
                 merged[name] = value
 
     for name, key in schema.items():
-        if name not in merged:
-            if key.required or key.default is None:
-                violations.append(f"missing required key '{name}'")
+        if name not in merged:  # no default and not given
+            violations.append(f"missing required key '{name}'")
             continue
         problem = key.check(name, merged[name])
         if problem:

@@ -1,21 +1,24 @@
 """Scenario runners: seeded experiments, CSV emission, cross-method reports.
 
 Each runner consumes a validated :class:`~ksplab.config.ExperimentConfig`,
-writes its data files plus a manifest into the output directory, and
-returns a report carrying pass/fail checks.  All randomness derives from
-the master seed through fixed labeled stream offsets, so adding a scenario
-never perturbs existing ones and reruns with an equal manifest produce
-byte-identical data files.  Wall-clock timings go to ``timing.json``,
-which is the one file excluded from the byte-identity guarantee.
+writes its data files into the output directory, and returns a report
+carrying pass/fail checks.  The frame :func:`_scenario` writes the files
+every scenario shares: ``manifest.json``, ``summary.csv`` (the report's
+metrics) and ``timing.json`` (wall-clock ``total`` plus the report's
+splits), the one file excluded from the byte-identity guarantee.  All
+randomness derives from the master seed through fixed labeled stream
+offsets, so adding a scenario never perturbs existing ones and reruns with
+an equal manifest produce byte-identical data files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,6 +92,7 @@ class ScenarioReport:
     scenario: str
     checks: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
+    runtime: dict = field(default_factory=dict)  # wall-clock splits for timing.json
 
     def add(self, name: str, passed: bool, detail: str) -> None:
         self.checks.append(Check(name, bool(passed), detail))
@@ -103,39 +107,49 @@ class ScenarioReport:
 
 @dataclass
 class ComparisonReport(ScenarioReport):
-    """Linear-compare report: per-method series, RMSEs, ESS stats, runtimes."""
+    """Linear-compare report: per-method series, RMSEs, ESS stats."""
 
     times: np.ndarray | None = None
     series: dict = field(default_factory=dict)
     rmse: dict = field(default_factory=dict)
     ess_stats: dict = field(default_factory=dict)
-    runtime: dict = field(default_factory=dict)
 
 
-def _write_manifest(cfg: ExperimentConfig, out_dir: str) -> None:
-    manifest = {
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        "backend": BACKEND,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+def _write_json(path: str, obj) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _write_timing(runtimes: dict, out_dir: str) -> None:
-    with open(os.path.join(out_dir, "timing.json"), "w", newline="\n") as fh:
-        json.dump(runtimes, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _scenario(body):
+    """Frame a runner ``body(cfg, out) -> report`` with the shared outputs.
 
+    Writes ``manifest.json`` before the body runs, then ``summary.csv`` from
+    ``report.metrics`` and ``timing.json`` as the body's wall-clock
+    ``total`` merged with ``report.runtime``.
+    """
 
-def _prepare_dir(cfg: ExperimentConfig) -> str:
-    out = cfg.output_dir
-    os.makedirs(out, exist_ok=True)
-    _write_manifest(cfg, out)
-    return out
+    @functools.wraps(body)
+    def run(cfg: ExperimentConfig) -> ScenarioReport:
+        out = cfg.output_dir
+        os.makedirs(out, exist_ok=True)
+        manifest = {
+            "scenario": cfg.scenario,
+            "seed": cfg.seed,
+            "config_hash": cfg.config_hash(),
+            "version": __version__,
+            "backend": BACKEND,
+        }
+        _write_json(os.path.join(out, "manifest.json"), manifest)
+        t_start = time.perf_counter()
+        report = body(cfg, out)
+        metrics = report.metrics
+        write_csv(os.path.join(out, "summary.csv"), list(metrics), [list(metrics.values())])
+        timing = {"total": time.perf_counter() - t_start, **report.runtime}
+        _write_json(os.path.join(out, "timing.json"), timing)
+        return report
+
+    return run
 
 
 def _run_with_collapse_recovery(run, n_particles: int):
@@ -150,9 +164,9 @@ def _run_with_collapse_recovery(run, n_particles: int):
 # linear_compare
 
 
-def run_linear_compare(cfg: ExperimentConfig) -> ComparisonReport:
+@_scenario
+def run_linear_compare(cfg: ExperimentConfig, out: str) -> ComparisonReport:
     """Kalman-Bucy oracle vs particle and grid filters on one shared record."""
-    out = _prepare_dir(cfg)
     report = ComparisonReport(scenario=cfg.scenario)
     seed = cfg.seed
 
@@ -265,12 +279,6 @@ def run_linear_compare(cfg: ExperimentConfig) -> ComparisonReport:
         ["t"] + list(report.series),
         np.column_stack([obs.times] + [report.series[k] for k in report.series]),
     )
-    write_csv(
-        os.path.join(out, "summary.csv"),
-        list(report.metrics),
-        [list(report.metrics.values())],
-    )
-    _write_timing(report.runtime, out)
     return report
 
 
@@ -278,11 +286,10 @@ def run_linear_compare(cfg: ExperimentConfig) -> ComparisonReport:
 # master_demo
 
 
-def run_master_demo(cfg: ExperimentConfig) -> ScenarioReport:
+@_scenario
+def run_master_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     """Transition-kernel semigroup, gain-loss ODE, and stationarity checks."""
-    out = _prepare_dir(cfg)
     report = ScenarioReport(scenario=cfg.scenario)
-    t_start = time.perf_counter()
 
     W = rate_matrix_from_triplets(cfg["rates"])
     G = generator_from_rates(W)
@@ -338,8 +345,6 @@ def run_master_demo(cfg: ExperimentConfig) -> ScenarioReport:
         ["tau", "error"],
         np.column_stack([taylor.taus, taylor.errors]),
     )
-    write_csv(os.path.join(out, "summary.csv"), list(report.metrics), [list(report.metrics.values())])
-    _write_timing({"total": time.perf_counter() - t_start}, out)
     return report
 
 
@@ -355,11 +360,10 @@ def _heston_scenario_objects(cfg: ExperimentConfig):
     return model, spec
 
 
-def run_heston_demo(cfg: ExperimentConfig) -> ScenarioReport:
+@_scenario
+def run_heston_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     """Latent-variance tracking: simulation, QV recovery, filtering, pricing."""
-    out = _prepare_dir(cfg)
     report = ScenarioReport(scenario=cfg.scenario)
-    t_start = time.perf_counter()
     seed = cfg.seed
     model, spec = _heston_scenario_objects(cfg)
 
@@ -444,8 +448,6 @@ def run_heston_demo(cfg: ExperimentConfig) -> ScenarioReport:
         ["t", "x_true", "x_post_mean", "x_post_var", "qv_recovery", "option_price"],
         np.column_stack([est.times, truth_coarse, post_mean, post_var, recovery_coarse, prices]),
     )
-    write_csv(os.path.join(out, "summary.csv"), list(report.metrics), [list(report.metrics.values())])
-    _write_timing({"total": time.perf_counter() - t_start}, out)
     return report
 
 
@@ -453,18 +455,17 @@ def run_heston_demo(cfg: ExperimentConfig) -> ScenarioReport:
 # pricing_demo
 
 
-def run_pricing_demo(cfg: ExperimentConfig) -> ScenarioReport:
+@_scenario
+def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     """Filtered pricing reductions and Monte Carlo self-consistency."""
-    out = _prepare_dir(cfg)
     report = ScenarioReport(scenario=cfg.scenario)
-    t_start = time.perf_counter()
     seed = cfg.seed
     model, spec = _heston_scenario_objects(cfg)
     spot = cfg["s0"]
     inner_dt = cfg["inner_dt"]
 
     # point-mass reduction at constant variance: no Monte Carlo noise at all
-    const_model = HestonModel(kappa=0.0, m=model.m, gamma=0.0, mu=model.mu, x0=model.x0, s0=model.s0)
+    const_model = replace(model, kappa=0.0, gamma=0.0)
     point = ParticleEnsemble(
         positions=np.array([[model.x0], [model.x0]]),
         log_weights=np.full(2, -np.log(2.0)),
@@ -483,7 +484,7 @@ def run_pricing_demo(cfg: ExperimentConfig) -> ScenarioReport:
     )
     p_mix = filtered_option_price(
         two,
-        HestonModel(kappa=0.0, m=model.m, gamma=0.0, mu=model.mu, x0=model.x0, s0=model.s0),
+        const_model,
         spec,
         spot,
         cfg["inner_paths"],
@@ -538,9 +539,6 @@ def run_pricing_demo(cfg: ExperimentConfig) -> ScenarioReport:
         mc_gap <= 2.0 * max(stderr, 1e-12),
         f"gap={mc_gap:.2e}, stderr={stderr:.2e}",
     )
-
-    write_csv(os.path.join(out, "summary.csv"), list(report.metrics), [list(report.metrics.values())])
-    _write_timing({"total": time.perf_counter() - t_start}, out)
     return report
 
 
@@ -548,11 +546,10 @@ def run_pricing_demo(cfg: ExperimentConfig) -> ScenarioReport:
 # novikov_check
 
 
-def run_novikov_check(cfg: ExperimentConfig) -> ScenarioReport:
+@_scenario
+def run_novikov_check(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     """Exponential-moment estimates for the three standard sensors."""
-    out = _prepare_dir(cfg)
     report = ScenarioReport(scenario=cfg.scenario)
-    t_start = time.perf_counter()
     seed = cfg.seed
     horizon, dt, n_paths = cfg["horizon"], cfg["dt"], cfg["n_paths"]
     c = cfg["h_const"]
@@ -597,8 +594,6 @@ def run_novikov_check(cfg: ExperimentConfig) -> ScenarioReport:
         fh.write("case,estimate,stderr,finite\n")
         for (name, _, _, _), row in zip(cases, rows):
             fh.write(f"{name},{row[0]!r},{row[1]!r},{row[2]!r}\n")
-    write_csv(os.path.join(out, "summary.csv"), list(report.metrics), [list(report.metrics.values())])
-    _write_timing({"total": time.perf_counter() - t_start}, out)
     return report
 
 

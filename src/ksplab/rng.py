@@ -37,8 +37,13 @@ class RngStream:
         """Derive an independent child stream.
 
         Child ids for distinct parents or distinct indices never collide
-        (requires ``0 <= index < 2**20``; nesting a few levels deep is fine).
+        (requires ``0 <= index < 2**20``).  Each level of nesting takes 20
+        bits of the id, and ids must fit in 64 bits: a child id of 2**64 or
+        more raises ``ValueError`` instead of wrapping onto another stream.
         """
         if index < 0 or index >= _SUBSTREAM_FACTOR:
             raise ValueError(f"substream index out of range: {index}")
-        return RngStream(self.seed, self.stream_id * _SUBSTREAM_FACTOR + 1 + index)
+        child = self.stream_id * _SUBSTREAM_FACTOR + 1 + index
+        if child > _MASK64:
+            raise ValueError(f"substream id exceeds 64 bits: {child}")
+        return RngStream(self.seed, child)

@@ -116,6 +116,19 @@ class TestRunners:
             ) as fb:
                 assert fa.read() == fb.read(), f"{scenario}/{name} differs"
 
+    @pytest.mark.parametrize("scenario", sorted(RUNNERS))
+    def test_shared_output_contract(self, scenario, tmp_out):
+        report = RUNNERS[scenario](small_config(scenario, tmp_out))
+        with open(os.path.join(tmp_out, "manifest.json")) as fh:
+            assert set(json.load(fh)) == {"scenario", "seed", "config_hash", "version", "backend"}
+        with open(os.path.join(tmp_out, "summary.csv")) as fh:
+            assert fh.readline().rstrip("\n").split(",") == list(report.metrics)
+        with open(os.path.join(tmp_out, "timing.json")) as fh:
+            timing = json.load(fh)
+        assert timing["total"] > 0.0
+        if scenario == "linear_compare":
+            assert {"simulate", "kalman", "particle", "grid"} <= set(timing)
+
     def test_collapse_recovery_reruns_with_ten_times_particles(self):
         calls = []
 

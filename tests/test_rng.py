@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ksplab import RngStream
+from ksplab.rng import _MASK64, _SUBSTREAM_FACTOR
 
 
 def test_same_stream_reproduces():
@@ -46,3 +49,35 @@ def test_negative_seed_accepted():
     a = RngStream(-3, 0).generator().standard_normal(4)
     b = RngStream(-3, 0).generator().standard_normal(4)
     assert np.array_equal(a, b)
+
+
+def test_substream_id_past_64_bits_raises():
+    # 2**64 + 1 would be masked to 1 and draw the numbers of RngStream(0, 1)
+    with pytest.raises(ValueError):
+        RngStream(0, 1 << 44).substream(0)
+    top = RngStream(0, (1 << 44) - 1)
+    assert top.substream(_SUBSTREAM_FACTOR - 2).stream_id == _MASK64
+    with pytest.raises(ValueError):
+        top.substream(_SUBSTREAM_FACTOR - 1)
+
+
+def _derive(root: RngStream, path: list[int]):
+    stream = root
+    for index in path:
+        try:
+            stream = stream.substream(index)
+        except ValueError:
+            return None
+    return stream.stream_id
+
+
+_paths = st.lists(st.integers(0, _SUBSTREAM_FACTOR - 1), max_size=4)
+
+
+@given(root=st.integers(0, 1 << 30), a=_paths, b=_paths)
+def test_distinct_substream_paths_raise_or_stay_distinct(root, a, b):
+    id_a, id_b = _derive(RngStream(0, root), a), _derive(RngStream(0, root), b)
+    for sid in (id_a, id_b):
+        assert sid is None or 0 <= sid <= _MASK64
+    if a != b and id_a is not None and id_b is not None:
+        assert id_a != id_b
