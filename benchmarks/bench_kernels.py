@@ -3,14 +3,18 @@
 Run:  python benchmarks/bench_kernels.py
 
 Prints per-kernel timings (best of `repeat` runs) and speedups, and checks
-that both backends produce identical outputs on the benchmark inputs.
+that both backends produce identical outputs on the benchmark inputs.  The
+one-column Heston case runs the numpy fallback's scalar path for narrow
+calls.  A last line times the variance-only ``heston_variance_sum`` (numpy
+on every backend) against the ``heston_paths`` call plus axis-0 sum it
+replaces in inner pricing, and checks that both give the same bits.
 """
 
 import time
 
 import numpy as np
 
-from ksplab._kernels import BACKEND, backends
+from ksplab._kernels import BACKEND, backends, heston_paths, heston_variance_sum
 
 
 def best_time(fn, repeat=5):
@@ -24,6 +28,11 @@ def best_time(fn, repeat=5):
 
 def bench_heston(mod, x0, y0, db, dw):
     return lambda: mod.heston_paths(x0, y0, db, dw, 1e-5, 2.0, 0.04, 0.3, 0.05)
+
+
+def variance_sum_via_paths(x0, db):
+    x, _ = heston_paths(x0, np.zeros(x0.size), db, np.zeros_like(db), 5e-3, 1.0, 0.04, 0.3, 0.0)
+    return np.sum(np.maximum(x[:-1], 0.0), axis=0)
 
 
 def bench_fd(mod, p, a, b):
@@ -57,6 +66,13 @@ def main():
     db = rng.normal(size=(steps, n)) * np.sqrt(1e-5)
     dw = rng.normal(size=(steps, n)) * np.sqrt(1e-5)
 
+    # one long column (the simulated Heston record), i.e. the narrow-call path
+    x1, y1, db1, dw1 = x0[:1], y0[:1], db[:, :1].copy(), dw[:, :1].copy()
+
+    # inner pricing: 1024 columns x 200 steps, variance only
+    xv = rng.uniform(0.0, 0.12, 1024)
+    dbv = rng.normal(size=(200, 1024)) * np.sqrt(5e-3)
+
     # grid transport: 801 nodes x 2000 substeps (one filtering run)
     p = rng.uniform(0.0, 1.0, 801)
     a = rng.normal(size=801)
@@ -69,6 +85,7 @@ def main():
 
     cases = [
         ("heston_paths (1e5 x 50)", bench_heston, (x0, y0, db, dw)),
+        ("heston_paths (1e5 x 1)", bench_heston, (x1, y1, db1, dw1)),
         ("fd_substep   (801 x 2000)", bench_fd, (p, a, b)),
         ("resample     (1e5 x 200)", bench_resample, (cw,)),
     ]
@@ -82,9 +99,21 @@ def main():
         else:
             print(f"{name:<28}{t_np:>12.4f}{'-':>12}{'-':>10}")
 
+    t_sum = best_time(lambda: heston_variance_sum(xv, dbv, 5e-3, 1.0, 0.04, 0.3))
+    t_paths = best_time(lambda: variance_sum_via_paths(xv, dbv))
+    same = np.array_equal(
+        heston_variance_sum(xv, dbv, 5e-3, 1.0, 0.04, 0.3), variance_sum_via_paths(xv, dbv)
+    )
+    print(
+        f"heston_variance_sum (200 x 1024): {t_sum:.4f} s; heston_paths + axis-0 sum "
+        f"({BACKEND}): {t_paths:.4f} s; {t_paths / t_sum:.1f}x; bit-identical: {same}"
+    )
+
     if "cython" in mods:
         xa, ya = bench_heston(mods["numpy"], x0, y0, db, dw)()
         xb, yb = bench_heston(mods["cython"], x0, y0, db, dw)()
+        xa1, ya1 = bench_heston(mods["numpy"], x1, y1, db1, dw1)()
+        xb1, yb1 = bench_heston(mods["cython"], x1, y1, db1, dw1)()
         pa = bench_fd(mods["numpy"], p, a, b)()
         pb = bench_fd(mods["cython"], p, a, b)()
         ia = bench_resample(mods["numpy"], cw)()
@@ -92,6 +121,8 @@ def main():
         same = (
             np.array_equal(xa, xb)
             and np.array_equal(ya, yb)
+            and np.array_equal(xa1, xb1)
+            and np.array_equal(ya1, yb1)
             and np.array_equal(pa, pb)
             and np.array_equal(ia, ib)
         )

@@ -26,10 +26,16 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        # the seed is masked to 64 bits, but an id outside [0, 2**64) would
+        # alias another stream's id, so it is refused
+        if not 0 <= self.stream_id <= _MASK64:
+            raise ValueError(f"stream_id must lie in [0, 2**64): {self.stream_id}")
+
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(
-            entropy=(int(self.seed) & _MASK64, int(self.stream_id) & _MASK64)
+            entropy=(int(self.seed) & _MASK64, int(self.stream_id))
         )
         return np.random.Generator(np.random.PCG64(ss))
 
@@ -43,7 +49,4 @@ class RngStream:
         """
         if index < 0 or index >= _SUBSTREAM_FACTOR:
             raise ValueError(f"substream index out of range: {index}")
-        child = self.stream_id * _SUBSTREAM_FACTOR + 1 + index
-        if child > _MASK64:
-            raise ValueError(f"substream id exceeds 64 bits: {child}")
-        return RngStream(self.seed, child)
+        return RngStream(self.seed, self.stream_id * _SUBSTREAM_FACTOR + 1 + index)

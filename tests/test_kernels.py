@@ -1,14 +1,25 @@
 """The compiled core and the numpy fallback must agree bit for bit, and the
 kernel properties callers rely on must hold on both: column independence
 (batching), conservation of the plain sum (the grid stepper), and sorted,
-in-range systematic-resampling indices with copy counts within 1 of n w_i."""
+in-range systematic-resampling indices with copy counts within 1 of n w_i.
+Within the numpy fallback, the scalar path for narrow calls and the
+variance-only accumulating stepper must equal the array stepper bit for bit."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksplab._kernels import BACKEND, backends, fd_substep, heston_paths, resample_indices
+from ksplab._kernels import (
+    BACKEND,
+    backends,
+    fd_substep,
+    heston_paths,
+    heston_variance_sum,
+    resample_indices,
+)
 from ksplab._kernels import _numpy
 
 needs_ext = pytest.mark.skipif(BACKEND != "cython", reason="extension not built")
@@ -120,6 +131,85 @@ class TestHestonColumnBlocks:
                 )
                 assert np.array_equal(x[:, lo:hi], xb)
                 assert np.array_equal(y[:, lo:hi], yb)
+
+
+_START = st.one_of(st.just(-0.0), st.just(0.0), st.just(float("nan")), st.floats(-0.05, 0.2))
+_HESTON_PARAMS = dict(
+    steps=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    dt=st.floats(1e-4, 0.1),
+    kappa=st.floats(0.0, 5.0),
+    m=st.floats(0.0, 0.2),
+    gamma=st.floats(0.0, 3.0),  # large gamma drives x below 0: truncation active
+)
+
+
+def _increments(seed, steps, n, dt):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(steps, n)) * np.sqrt(dt), rng.normal(size=(steps, n)) * np.sqrt(dt))
+
+
+def _same_bits(a, b):
+    """Equal values, NaN where the other has NaN, and the same sign on zeros."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestNarrowHestonPath:
+    """Fewer than _NARROW_COLUMNS columns are stepped as plain floats; that
+    scalar path equals the array step bit for bit, including the truncation,
+    a signed zero and a NaN start."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2 * _numpy._NARROW_COLUMNS),
+        starts=st.lists(_START, min_size=4, max_size=4),
+        mu=st.floats(-0.2, 0.2),
+        **_HESTON_PARAMS,
+    )
+    def test_scalar_path_equals_array_path(self, n, starts, mu, steps, seed, dt, kappa, m, gamma):
+        db, dw = _increments(seed, steps, n, dt)
+        rng = np.random.default_rng(seed + 1)
+        x0 = rng.uniform(-0.05, 0.2, n)
+        y0 = rng.normal(size=n)
+        x0[: len(starts)] = starts[:n]
+        y0[-1] = starts[0]
+        args = (x0, y0, db, dw, dt, kappa, m, gamma, mu)
+        with mock.patch.object(_numpy, "_NARROW_COLUMNS", n + 1):
+            xs, ys = _numpy.heston_paths(*args)
+        with mock.patch.object(_numpy, "_NARROW_COLUMNS", 0):
+            xv, yv = _numpy.heston_paths(*args)
+        x, y = _numpy.heston_paths(*args)  # the path the threshold picks
+        for got in (xs, x):
+            assert _same_bits(got, xv)
+        for got in (ys, y):
+            assert _same_bits(got, yv)
+
+    def test_scalar_start_broadcasts(self):
+        db, dw = _increments(5, 30, 3, 1e-2)
+        x, y = _numpy.heston_paths(0.04, 0.0, db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
+        xa, ya = _numpy.heston_paths(np.full(3, 0.04), np.zeros(3), db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
+        assert np.array_equal(x, xa) and np.array_equal(y, ya)
+
+
+class TestHestonVarianceSum:
+    """heston_variance_sum is the per-column axis-0 sum of the truncated
+    variance of heston_paths (run with mu = 0 and dw = 0), bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), starts=st.lists(_START, min_size=3, max_size=3), **_HESTON_PARAMS)
+    def test_equals_summed_heston_paths(self, n, starts, steps, seed, dt, kappa, m, gamma):
+        db, _ = _increments(seed, steps, n, dt)
+        x0 = np.random.default_rng(seed + 1).uniform(-0.05, 0.2, n)
+        x0[: len(starts)] = starts[:n]
+        acc = heston_variance_sum(x0, db, dt, kappa, m, gamma)
+        x, _ = heston_paths(x0, np.zeros(n), db, np.zeros_like(db), dt, kappa, m, gamma, 0.0)
+        xp = np.maximum(x[:-1], 0.0)
+        folded = np.zeros(n)
+        for row in xp:  # step order
+            folded += row
+        assert _same_bits(acc, folded)
+        if n >= 2:  # numpy sums a single column pairwise, not row by row
+            assert _same_bits(acc, np.sum(xp, axis=0))
 
 
 class TestFdSubstepConservation:

@@ -61,6 +61,19 @@ def test_substream_id_past_64_bits_raises():
         top.substream(_SUBSTREAM_FACTOR - 1)
 
 
+def test_constructor_rejects_ids_outside_64_bits():
+    # masked to 64 bits, these would draw the numbers of RngStream(0, 1) and
+    # RngStream(0, 2**64 - 1)
+    for sid in (_MASK64 + 2, -1, _MASK64 + 1):
+        with pytest.raises(ValueError):
+            RngStream(0, sid)
+    top = RngStream(0, _MASK64)
+    assert top.generator().standard_normal(3).shape == (3,)
+    assert not np.array_equal(
+        top.generator().standard_normal(3), RngStream(0, 0).generator().standard_normal(3)
+    )
+
+
 def _derive(root: RngStream, path: list[int]):
     stream = root
     for index in path:

@@ -275,10 +275,12 @@ class TestBatchedInnerMonteCarlo:
     @pytest.mark.parametrize(
         "n, inner_paths, t_now, inner_dt",
         [
-            (200, 64, 0.0, None),  # several 4-particle chunks
+            (200, 64, 0.0, None),  # several 16-particle chunks
             (7, 64, 0.0, None),  # a particle count that is no multiple of the chunk
             (80, 7, 0.0, None),  # odd path count: the antithetic block is cut
-            (3, 300, 0.0, None),  # more paths than a chunk's columns: one particle each
+            (3, 300, 0.0, None),  # 3 particles per chunk, 900 columns
+            (2, 1025, 0.0, None),  # more paths than a chunk's columns: one particle each
+            (40, 64, 0.0, None),  # wider than one 1024-column chunk: 16 + 16 + 8 particles
             (25, 16, 0.3, 1e-2),  # explicit inner step after the valuation time
         ],
     )
