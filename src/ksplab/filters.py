@@ -6,7 +6,9 @@ Two complementary devices:
   pick up the multiplicative likelihood factor exp(h.dY - |h|^2 dt / 2)
   read against the observed increment, and are renormalized (the Bayes
   step turning the unnormalized measure into the conditional one), with
-  systematic resampling when the effective sample size degenerates;
+  systematic resampling when the effective sample size degenerates.  The
+  reweight / normalize / resample step works on bare position and
+  log-weight arrays and is shared with ``stochvol.heston_filter``;
 
 * a 1-D grid solver: a conservative forward-Kolmogorov half step followed
   by the same multiplicative update, i.e. an operator splitting of the
@@ -43,12 +45,26 @@ class EnsembleCollapseError(RuntimeError):
     """All particle weights underflowed to zero."""
 
 
-def _log_norm(log_weights: np.ndarray) -> tuple[np.ndarray, float]:
-    m = np.max(log_weights)
-    if not np.isfinite(m):
+def _log_norm(log_weights: np.ndarray) -> np.ndarray:
+    """Normalize log weights by their log-sum-exp.
+
+    Every weight at -inf is a collapse (:class:`EnsembleCollapseError`, which
+    the harness answers with a rerun); a NaN or +inf weight is a fault in the
+    likelihood, not a collapse, and raises ``ValueError``.
+    """
+    log_weights = np.asarray(log_weights, dtype=float)
+    m = log_weights.max()
+    if m == -np.inf:
         raise EnsembleCollapseError("all particle weights underflowed to -inf")
-    total = np.log(np.sum(np.exp(log_weights - m))) + m
-    return log_weights - total, total
+    if not np.isfinite(m):
+        raise ValueError(f"log weights contain {float(m)!r}")
+    return log_weights - (np.log(np.exp(log_weights - m).sum()) + m)
+
+
+def _check_normalized(w: np.ndarray) -> None:
+    total = w.sum()
+    if not abs(total - 1.0) <= 1e-10:  # also rejects a NaN total
+        raise ValueError(f"normalized weights sum to {total!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +85,7 @@ class ParticleEnsemble:
         if not np.all(np.isfinite(pos)):
             raise ValueError("particle positions must be finite")
         if self.normalized:
-            total = np.sum(np.exp(lw))
-            if not abs(total - 1.0) <= 1e-10:  # also rejects a NaN total
-                raise ValueError(f"normalized weights sum to {total!r}")
+            _check_normalized(np.exp(lw))
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "log_weights", lw)
 
@@ -182,10 +196,10 @@ def pf_init(law: InitialLaw, n_particles: int, rng: RngStream) -> ParticleEnsemb
     return ParticleEnsemble(positions=positions, log_weights=lw, normalized=True)
 
 
-def _phi_values(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    vals = np.asarray(phi(ens.positions), dtype=float)
-    if vals.shape != (ens.n,):
-        raise ValueError(f"phi must return shape ({ens.n},), got {vals.shape}")
+def _phi_values(x: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    vals = np.asarray(phi(x), dtype=float)
+    if vals.shape != (x.shape[0],):
+        raise ValueError(f"phi must return shape ({x.shape[0]},), got {vals.shape}")
     return vals
 
 
@@ -193,7 +207,7 @@ def pf_estimate(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) 
     """Weighted mean sum_i w_i phi(x_i); phi maps (n, d) -> (n,)."""
     if not ens.normalized:
         raise ValueError("ensemble must be normalized")
-    return float(ens.weights @ _phi_values(ens, phi))
+    return float(ens.weights @ _phi_values(ens.positions, phi))
 
 
 def ess(ens: ParticleEnsemble) -> float:
@@ -211,16 +225,79 @@ def resample_systematic(ens: ParticleEnsemble, rng: RngStream) -> ParticleEnsemb
     return _resample_with_offset(ens, u0)
 
 
+def _systematic_indices(w: np.ndarray, u0: float, n_out: int) -> np.ndarray:
+    """Parent indices of n_out systematic draws from normalized weights w."""
+    cw = np.cumsum(w)
+    cw[-1] = 1.0  # guard against rounding in the final cumulative weight
+    return _kernels.resample_indices(cw, u0, n_out)
+
+
 def _resample_with_offset(
     ens: ParticleEnsemble, u0: float, n_out: int | None = None
 ) -> ParticleEnsemble:
     """Systematic resampling to n_out (default ens.n) uniformly weighted atoms."""
     n_out = ens.n if n_out is None else n_out
-    cw = np.cumsum(ens.weights)
-    cw[-1] = 1.0  # guard against rounding in the final cumulative weight
-    idx = _kernels.resample_indices(cw, u0, n_out)
+    idx = _systematic_indices(ens.weights, u0, n_out)
     lw = np.full(n_out, -np.log(n_out))
     return ParticleEnsemble(positions=ens.positions[idx], log_weights=lw, normalized=True)
+
+
+def _reweight(
+    x: np.ndarray,
+    lw: np.ndarray,
+    log_incr: np.ndarray,
+    gen: np.random.Generator,
+    resample_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Reweight / normalize / maybe resample particles held as bare arrays.
+
+    The weighting cycle of both particle filters (``pf_step`` and
+    ``run_particle_filter`` here, ``stochvol.heston_filter``).  ``x`` holds
+    one particle per leading row, ``lw`` their normalized log weights and
+    ``log_incr`` the log-likelihood increment.  The weights are
+    exponentiated once: they carry the normalized-sum check of a normalized
+    :class:`ParticleEnsemble` and give the ESS.  When ESS <
+    resample_threshold * N, systematic resampling with one
+    ``gen.uniform()`` offset replaces the particles by uniformly weighted
+    copies.  Returns ``(x, lw, w, ess)`` after the cycle, the same bits as
+    building a :class:`ParticleEnsemble` and calling ``ess`` and
+    ``_resample_with_offset`` on it.
+    """
+    lw = _log_norm(lw + log_incr)
+    w = np.exp(lw)
+    _check_normalized(w)
+    n = x.shape[0]
+    n_eff = 1.0 / (w**2).sum()
+    if n_eff < resample_threshold * n:
+        x = x[_systematic_indices(w, float(gen.uniform()), n)]
+        lw = np.full(n, -np.log(n))
+        w = np.exp(lw)
+        n_eff = 1.0 / (w**2).sum()
+    return x, lw, w, n_eff
+
+
+def _pf_cycle(
+    model: DiffusionModel,
+    obs: ObservationModel,
+    x: np.ndarray,
+    lw: np.ndarray,
+    dY: np.ndarray,
+    dt: float,
+    q: int,
+    gen: np.random.Generator,
+    resample_threshold: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Mutate bare (N, d) positions by one Euler step, then :func:`_reweight`."""
+    dv = gen.standard_normal((x.shape[0], q)) * np.sqrt(dt)
+    sig = np.asarray(model.diffusion_factor(x))
+    x = x + np.asarray(model.drift(x)) * dt + np.einsum("...ij,...j->...i", sig, dv)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("particle mutation produced non-finite positions")
+
+    h = obs.sensor_values(x)
+    with np.errstate(over="ignore"):  # overflow in |h|^2 means weight -> 0
+        log_incr = np.dot(h, dY) - 0.5 * np.sum(h * h, axis=-1) * dt
+    return _reweight(x, lw, log_incr, gen, resample_threshold)
 
 
 def pf_step(
@@ -237,35 +314,20 @@ def pf_step(
     Mutation is an Euler step of the state model; the log-weight increment
     h(x).dY - |h(x)|^2 dt / 2 is the likelihood factor of the observed
     increment; renormalization is the Bayes step; systematic resampling
-    triggers when ESS < resample_threshold * N.
+    triggers when ESS < resample_threshold * N.  A wrapper over the array
+    cycle that :func:`run_particle_filter` drives directly: it builds only
+    the returned ensemble.
     """
     if not ens.normalized:
         raise ValueError("ensemble must be normalized")
     if dt <= 0:
         raise ValueError("dt must be positive")
     dY = np.atleast_1d(np.asarray(dY, dtype=float))
-    gen = rng.generator()
-
-    q = model.noise_dim(ens.positions[0])
-    dv = gen.standard_normal((ens.n, q)) * np.sqrt(dt)
-    sig = np.asarray(model.diffusion_factor(ens.positions))
-    positions = (
-        ens.positions
-        + np.asarray(model.drift(ens.positions)) * dt
-        + np.einsum("...ij,...j->...i", sig, dv)
+    x, lw, _, _ = _pf_cycle(
+        model, obs, ens.positions, ens.log_weights, dY, dt,
+        model.noise_dim(ens.positions[0]), rng.generator(), resample_threshold,
     )
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("particle mutation produced non-finite positions")
-
-    h = obs.sensor_values(positions)
-    with np.errstate(over="ignore"):  # overflow in |h|^2 means weight -> 0
-        log_incr = h @ dY - 0.5 * np.sum(h * h, axis=-1) * dt
-    log_weights, _ = _log_norm(ens.log_weights + log_incr)
-    new = ParticleEnsemble(positions=positions, log_weights=log_weights, normalized=True)
-
-    if ess(new) < resample_threshold * new.n:
-        new = _resample_with_offset(new, float(gen.uniform()))
-    return new
+    return ParticleEnsemble(positions=x, log_weights=lw, normalized=True)
 
 
 def run_particle_filter(
@@ -278,12 +340,19 @@ def run_particle_filter(
     ksp_phi: tuple | None = None,
     resample_threshold: float = 0.5,
 ) -> FilterEstimate:
-    """Fold pf_step over an observation record, recording moment series.
+    """Fold the pf_step cycle over an observation record, recording moment series.
 
     ``phis`` maps names to batched test functions (n, d) -> (n,).  If
     ``ksp_phi = (f, grad, hess)`` is given, the four moment series needed
     by :func:`ksp_residual` are registered under "phi", "A_phi", "phi_h",
     "h".  Deterministic given (rng, n_particles, record).
+
+    The particles live as bare position and log-weight arrays between steps:
+    only the initial ensemble is built.  Step k draws from
+    ``rng.substream(k + 1)`` exactly as ``pf_step`` does, and each recorded
+    moment and ESS uses the weights the cycle exponentiated once, so the
+    series equal a fold of ``pf_step`` recorded with ``pf_estimate`` and
+    ``ess``, bit for bit.
     """
     phis = dict(phis if phis is not None else default_test_functions())
     if ksp_phi is not None:
@@ -294,18 +363,23 @@ def run_particle_filter(
     moments = {name: np.empty(n_times) for name in phis}
     ess_series = np.empty(n_times)
 
-    def record(k, e):
-        # the arithmetic of pf_estimate and ess, with the weights taken once
-        w = e.weights
+    def record(k, x, w, n_eff):
         for name, phi in phis.items():
-            moments[name][k] = float(w @ _phi_values(e, phi))
-        ess_series[k] = float(1.0 / np.sum(w**2))
+            moments[name][k] = float(np.dot(w, _phi_values(x, phi)))
+        ess_series[k] = n_eff
 
-    record(0, ens)
+    x, lw = ens.positions, ens.log_weights
+    w = ens.weights
+    record(0, x, w, 1.0 / np.sum(w**2))
     dt = obs_path.dt
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    q = model.noise_dim(x[0])
     for k, dy in enumerate(obs_path.increments):
-        ens = pf_step(model, obs_model, ens, dy, dt, rng.substream(k + 1), resample_threshold)
-        record(k + 1, ens)
+        x, lw, w, n_eff = _pf_cycle(
+            model, obs_model, x, lw, dy, dt, q, rng.substream(k + 1).generator(), resample_threshold
+        )
+        record(k + 1, x, w, n_eff)
     return FilterEstimate(times=obs_path.times.copy(), moments=moments, ess=ess_series)
 
 

@@ -84,8 +84,8 @@ class LinearModel:
         )
 
     def as_observation_model(self) -> ObservationModel:
-        H, h0 = self.H, self.h0
-        return ObservationModel(dim_obs=self.dim_obs, sensor=lambda x: np.asarray(x) @ H.T + h0)
+        # the sensor x -> H x + h0 is the same affine callback as the drift
+        return ObservationModel(dim_obs=self.dim_obs, sensor=linear_drift(self.H, self.h0))
 
 
 @dataclass(frozen=True)

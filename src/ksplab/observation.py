@@ -29,7 +29,10 @@ class ObservationModel:
     """Sensor map h with unit-intensity additive observation noise.
 
     ``sensor`` must be a deterministic function of the state alone: the
-    grid solver evaluates it once per run at its nodes.
+    grid solver evaluates it once per run at its nodes.  The particle
+    filter calls it on the whole (N, d) ensemble every step, so, as for the
+    drift, prefer elementwise ops or ``np.dot`` to ``x @ M``, which is
+    6-10x slower with a trailing dimension of 1 (see ``sde.DiffusionModel``).
     """
 
     dim_obs: int

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .filters import FilterEstimate, ParticleEnsemble, _log_norm, _resample_with_offset
+from .filters import FilterEstimate, ParticleEnsemble, _reweight
 from .rng import RngStream
 from .sde import InitialLaw, SimulationDivergenceError
 
@@ -287,6 +287,10 @@ def heston_filter(
     dynamics.  Moments "x" (posterior mean) and "x2" are recorded on the
     record grid; estimates at t_k use observations up to t_k.
 
+    The particles live as bare arrays: the reweight / normalize / resample
+    step is ``filters._reweight``, the cycle ``pf_step`` runs, and an
+    ensemble is built only for a requested snapshot.
+
     Returns the moment series; with ``snapshot_indices`` given, also a dict
     mapping each requested time index to the posterior ensemble there.
     """
@@ -310,36 +314,32 @@ def heston_filter(
     wanted = set(int(i) for i in snapshot_indices) if snapshot_indices is not None else set()
     snapshots = {}
 
-    def record(k):
-        w = np.exp(lw)
-        mean_series[k] = w @ x
-        m2_series[k] = w @ x**2
-        ess_series[k] = 1.0 / np.sum(w**2)
+    def record(k, x, lw, w, n_eff):
+        mean_series[k] = np.dot(w, x)
+        m2_series[k] = np.dot(w, x**2)
+        ess_series[k] = n_eff
         if k in wanted:
             snapshots[k] = ParticleEnsemble(
                 positions=x[:, None].copy(), log_weights=lw.copy(), normalized=True
             )
 
-    record(0)
+    w = np.exp(lw)
+    record(0, x, lw, w, 1.0 / np.sum(w**2))
     dy = np.diff(y)
     for k in range(n - 1):
         # weight with the transition density of the observed increment
         var = np.maximum(x, x_floor) * dt
         resid = dy[k] - (model.mu - 0.5 * x) * dt
         log_incr = -0.5 * (resid**2 / var + np.log(2 * np.pi * var))
-        lw, _ = _log_norm(lw + log_incr)
+        x, lw, w, n_eff = _reweight(x, lw, log_incr, gen, resample_threshold)
 
-        if 1.0 / np.sum(np.exp(lw) ** 2) < resample_threshold * n_particles:
-            ens = ParticleEnsemble(positions=x[:, None], log_weights=lw, normalized=True)
-            ens = _resample_with_offset(ens, float(gen.uniform()))
-            x, lw = ens.positions[:, 0], ens.log_weights
-
-        # mutate through the variance dynamics (full truncation)
+        # mutate through the variance dynamics (full truncation); the weights
+        # do not change, so the cycle's w and ESS are those of the new x
         xp = np.maximum(x, 0.0)
         x = x + model.kappa * (model.m - xp) * dt + model.gamma * np.sqrt(xp) * (
             gen.standard_normal(n_particles) * np.sqrt(dt)
         )
-        record(k + 1)
+        record(k + 1, x, lw, w, n_eff)
 
     est = FilterEstimate(
         times=np.arange(n) * dt,

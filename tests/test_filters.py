@@ -10,6 +10,7 @@ from ksplab import (
     GridDensity,
     InitialLaw,
     LinearModel,
+    ObservationModel,
     ObservationPath,
     ParticleEnsemble,
     RngStream,
@@ -32,6 +33,7 @@ from ksplab import (
 )
 
 from ksplab import _kernels
+from ksplab.filters import _log_norm
 
 from conftest import brownian_motion, constant_sensor, deterministic_model, identity_sensor
 
@@ -221,6 +223,112 @@ def reference_particle_filter(sm, om, obs, n_particles, rng, ksp_phi=None, resam
         rows.append(({name: pf_estimate(ens, phi) for name, phi in phis.items()}, ess(ens)))
     moments = {name: np.array([m[name] for m, _ in rows]) for name in phis}
     return moments, np.array([e for _, e in rows])
+
+
+class TestLogNorm:
+    def test_all_minus_inf_is_a_collapse(self):
+        with pytest.raises(EnsembleCollapseError):
+            _log_norm(np.array([-np.inf, -np.inf]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_plus_inf_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="log weights contain") as info:
+            _log_norm([0.0, bad])
+        assert not isinstance(info.value, EnsembleCollapseError)
+
+
+def parent_models(F=-0.7, f0=0.2, H=1.3, h0=-0.1):
+    """Linear state and sensor callbacks written with ``@`` on the transposed
+    coefficient, as the package wrote them before the dot path."""
+    Fm, f0v, Hm, h0v = np.array([[F]]), np.array([f0]), np.array([[H]]), np.array([h0])
+    sm = DiffusionModel(
+        dim_state=1,
+        drift=lambda x: np.asarray(x) @ Fm.T + f0v,
+        diffusion_factor=constant_diffusion([[0.8]]),
+        initial_law=InitialLaw.gaussian([0.3], [[0.5]]),
+    )
+    om = ObservationModel(dim_obs=1, sensor=lambda x: np.asarray(x) @ Hm.T + h0v)
+    model = LinearModel(F=[[F]], f0=[f0], sigma=[[0.8]], H=[[H]], h0=[h0])
+    return model, sm, om
+
+
+def parent_particle_filter(sm, om, obs, n_particles, rng, phis, resample_threshold):
+    """In-test copy of the particle filter before the array cycle: a fold of
+    the old pf_step, which built a ParticleEnsemble every step, took ess() on
+    it and resampled through _resample_with_offset, recorded with the weights
+    taken once."""
+    ens = pf_init(sm.initial_law, n_particles, rng.substream(0))
+    moments = {name: np.empty(obs.times.size) for name in phis}
+    ess_series = np.empty(obs.times.size)
+
+    def record(k, e):
+        w = e.weights
+        for name, phi in phis.items():
+            moments[name][k] = float(w @ np.asarray(phi(e.positions), dtype=float))
+        ess_series[k] = float(1.0 / np.sum(w**2))
+
+    record(0, ens)
+    dt = obs.dt
+    for k, dy in enumerate(obs.increments):
+        gen = rng.substream(k + 1).generator()
+        dY = np.atleast_1d(np.asarray(dy, dtype=float))
+        q = sm.noise_dim(ens.positions[0])
+        dv = gen.standard_normal((ens.n, q)) * np.sqrt(dt)
+        sig = np.asarray(sm.diffusion_factor(ens.positions))
+        positions = (
+            ens.positions
+            + np.asarray(sm.drift(ens.positions)) * dt
+            + np.einsum("...ij,...j->...i", sig, dv)
+        )
+        h = om.sensor_values(positions)
+        with np.errstate(over="ignore"):
+            log_incr = h @ dY - 0.5 * np.sum(h * h, axis=-1) * dt
+        lw = ens.log_weights + log_incr
+        m = np.max(lw)
+        lw = lw - (np.log(np.sum(np.exp(lw - m))) + m)
+        ens = ParticleEnsemble(positions=positions, log_weights=lw, normalized=True)
+        if ess(ens) < resample_threshold * ens.n:
+            cw = np.cumsum(ens.weights)
+            cw[-1] = 1.0
+            idx = _kernels.resample_indices(cw, float(gen.uniform()), ens.n)
+            ens = ParticleEnsemble(
+                positions=ens.positions[idx],
+                log_weights=np.full(ens.n, -np.log(ens.n)),
+                normalized=True,
+            )
+        record(k + 1, ens)
+    return moments, ess_series
+
+
+class TestArrayCycleEqualsEnsembleLoop:
+    """run_particle_filter on bare arrays (with the dot-path callbacks of
+    LinearModel) must give the bits of the per-step ensemble loop with
+    ``@``-written callbacks."""
+
+    @pytest.mark.parametrize("threshold", [0.99, 0.0])
+    @pytest.mark.parametrize("ksp_phi", [None, KSP_PHI_X])
+    def test_bit_identical(self, ksp_phi, threshold):
+        model, parent_sm, parent_om = parent_models()
+        sm = model.as_diffusion_model(parent_sm.initial_law)
+        om = model.as_observation_model()
+        truth = simulate_path(sm, 0.2, 1e-3, RngStream(71, 1))
+        obs = simulate_observation(om, truth, RngStream(71, 2))
+        n = 400
+        est = run_particle_filter(
+            sm, om, obs, n, RngStream(71, 3), ksp_phi=ksp_phi, resample_threshold=threshold
+        )
+        phis = default_test_functions()
+        if ksp_phi is not None:
+            phis.update(ksp_moment_functions(parent_sm, parent_om, *ksp_phi))
+        moments, ess_ref = parent_particle_filter(
+            parent_sm, parent_om, obs, n, RngStream(71, 3), phis, threshold
+        )
+        assert set(est.moments) == set(moments)
+        for name in moments:
+            assert np.array_equal(est.moments[name], moments[name]), name
+        assert np.array_equal(est.ess, ess_ref)
+        resampled = np.sum(np.isclose(est.ess[1:], n, rtol=1e-12))
+        assert resampled > 0 if threshold > 0 else resampled == 0
 
 
 class TestParticleRecording:

@@ -6,7 +6,17 @@ import sys
 import numpy as np
 import pytest
 
-from ksplab import EnsembleCollapseError, validate_config
+from ksplab import (
+    DiffusionModel,
+    EnsembleCollapseError,
+    InitialLaw,
+    ObservationPath,
+    RngStream,
+    constant_diffusion,
+    run_particle_filter,
+    validate_config,
+)
+from ksplab.filters import _log_norm
 from ksplab.harness import (
     RUNNERS,
     _run_with_collapse_recovery,
@@ -17,6 +27,8 @@ from ksplab.harness import (
     run_pricing_demo,
     run_scenario,
 )
+
+from conftest import identity_sensor
 
 SMALL = {
     "linear_compare": {"n_particles": 400, "horizon": 0.2, "n_grid": 201},
@@ -142,6 +154,39 @@ class TestRunners:
         assert result == "ok"
         assert calls == [500, 5000]
         assert n_used == 5000
+
+    def test_forced_collapse_reruns_once_then_propagates(self):
+        # particles at +-1e200 under an identity sensor: |h|^2 overflows, so
+        # every log weight is -inf on the first step, at N and at 10 N
+        model = DiffusionModel(
+            dim_state=1,
+            drift=lambda x: np.zeros_like(x),
+            diffusion_factor=constant_diffusion([[1.0]]),
+            initial_law=InitialLaw.empirical([[1e200], [-1e200]], [0.5, 0.5]),
+        )
+        obs = ObservationPath.from_increments(np.arange(4) * 0.1, np.full((3, 1), 0.05))
+        phis = {"x": lambda x: x[..., 0]}
+        calls = []
+
+        def run(n):
+            calls.append(n)
+            return run_particle_filter(model, identity_sensor(), obs, n, RngStream(0, 3), phis)
+
+        with pytest.raises(EnsembleCollapseError):
+            _run_with_collapse_recovery(run, 50)
+        assert calls == [50, 500]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_log_weight_is_not_rerun(self, bad):
+        calls = []
+
+        def run(n):
+            calls.append(n)
+            return _log_norm(np.array([0.0, bad]))
+
+        with pytest.raises(ValueError, match="log weights contain"):
+            _run_with_collapse_recovery(run, 500)
+        assert calls == [500]
 
     def test_rmse_halves_when_particles_quadruple(self, tmp_path):
         # Monte Carlo rate 1/sqrt(N): expect a factor ~2, accept [1.6, 2.6]

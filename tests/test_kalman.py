@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ksplab import (
     GaussianBelief,
@@ -11,6 +14,7 @@ from ksplab import (
     RiccatiConvergenceError,
     RngStream,
     kalman_step,
+    linear_drift,
     riccati_rhs,
     run_kalman,
     simulate_observation,
@@ -215,3 +219,30 @@ class TestSteadyStateCov:
         stepped = kalman_step(model, belief, [0.0], dt)
         fd = (stepped.cov - belief.cov) / dt
         assert abs(fd[0, 0] - riccati_rhs(model, belief.cov)[0, 0]) < 1e-8
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestDotPathCallbacks:
+    """linear_drift and the linear sensor multiply with np.dot; at d = 1 each
+    entry is one product, so the bits must equal ``x @ M.T + c``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        x=hnp.arrays(np.float64, st.tuples(st.integers(1, 400), st.just(1)), elements=_FINITE),
+        coef=_FINITE,
+        offset=_FINITE,
+    )
+    def test_equal_to_matmul_at_d1(self, x, coef, offset):
+        M, c = np.array([[coef]]), np.array([offset])
+        drift = linear_drift(M, c)
+        sensor = scalar_model(F=-1.0, H=coef, h0=offset).as_observation_model().sensor
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = x @ M.T + c
+            for f in (drift, sensor):
+                assert np.array_equal(f(x), expected, equal_nan=True)
+                # one state, and states stacked on two leading axes
+                assert np.array_equal(f(x[0]), x[0] @ M.T + c, equal_nan=True)
+                stacked = np.stack([x, -x])
+                assert np.array_equal(f(stacked), stacked @ M.T + c, equal_nan=True)

@@ -347,3 +347,75 @@ class TestHestonFilter:
         for k, ens in snaps.items():
             mean = float(ens.weights @ ens.positions[:, 0])
             assert abs(mean - est.moments["x"][k]) < 1e-12
+
+
+def parent_heston_filter(model, log_price, dt, n_particles, rng, resample_threshold, snapshot_indices):
+    """In-test copy of heston_filter before the shared array cycle: its own
+    log-sum-exp, ESS from a second exp(lw), an ensemble built to resample,
+    and the weights exponentiated again to record."""
+    y = np.asarray(log_price, dtype=float)
+    spread = max(0.25 * model.x0, 1e-4)
+    initial_law = InitialLaw.gaussian([model.x0], [[spread**2]])
+    gen = rng.generator()
+    x = initial_law.sample(n_particles, gen)[:, 0]
+    lw = np.full(n_particles, -np.log(n_particles))
+    n = y.size
+    mean_series, m2_series, ess_series = np.empty(n), np.empty(n), np.empty(n)
+    snapshots = {}
+
+    def record(k):
+        w = np.exp(lw)
+        mean_series[k] = w @ x
+        m2_series[k] = w @ x**2
+        ess_series[k] = 1.0 / np.sum(w**2)
+        if k in snapshot_indices:
+            snapshots[k] = (x.copy(), lw.copy())
+
+    record(0)
+    dy = np.diff(y)
+    for k in range(n - 1):
+        var = np.maximum(x, 1e-8) * dt
+        resid = dy[k] - (model.mu - 0.5 * x) * dt
+        lw = lw + -0.5 * (resid**2 / var + np.log(2 * np.pi * var))
+        m = np.max(lw)
+        lw = lw - (np.log(np.sum(np.exp(lw - m))) + m)
+        if 1.0 / np.sum(np.exp(lw) ** 2) < resample_threshold * n_particles:
+            ens = ParticleEnsemble(positions=x[:, None], log_weights=lw, normalized=True)
+            cw = np.cumsum(ens.weights)
+            cw[-1] = 1.0
+            idx = _kernels.resample_indices(cw, float(gen.uniform()), ens.n)
+            x, lw = ens.positions[idx][:, 0], np.full(n_particles, -np.log(n_particles))
+        xp = np.maximum(x, 0.0)
+        x = x + model.kappa * (model.m - xp) * dt + model.gamma * np.sqrt(xp) * (
+            gen.standard_normal(n_particles) * np.sqrt(dt)
+        )
+        record(k + 1)
+    return mean_series, m2_series, ess_series, snapshots
+
+
+class TestHestonFilterCycle:
+    """heston_filter on the shared array cycle must give the bits of its old
+    hand-written loop."""
+
+    @pytest.mark.parametrize("threshold", [0.99, 0.0])
+    def test_bit_identical(self, threshold):
+        model = default_heston(gamma=0.6)
+        paths = simulate_heston(model, 0.3, 1e-3, RngStream(24, 1))
+        wanted = [0, 7, 150, 300]
+        n = 300
+        est, snaps = heston_filter(
+            model, paths.log_price, 1e-3, n, RngStream(24, 2),
+            resample_threshold=threshold, snapshot_indices=wanted,
+        )
+        mean, m2, ess_ref, snaps_ref = parent_heston_filter(
+            model, paths.log_price, 1e-3, n, RngStream(24, 2), threshold, wanted
+        )
+        assert np.array_equal(est.moments["x"], mean)
+        assert np.array_equal(est.moments["x2"], m2)
+        assert np.array_equal(est.ess, ess_ref)
+        assert set(snaps) == set(snaps_ref) == set(wanted)
+        for k, (x, lw) in snaps_ref.items():
+            assert np.array_equal(snaps[k].positions[:, 0], x)
+            assert np.array_equal(snaps[k].log_weights, lw)
+        resampled = np.sum(np.isclose(est.ess[1:], n, rtol=1e-12))
+        assert resampled > 0 if threshold > 0 else resampled == 0
