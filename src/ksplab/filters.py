@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .observation import ObservationModel, ObservationPath
 from .rng import RngStream
-from .sde import DiffusionModel, InitialLaw, generator_values
+from .sde import DiffusionModel, InitialLaw, _euler_step, generator_values
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -287,10 +287,8 @@ def _pf_cycle(
     gen: np.random.Generator,
     resample_threshold: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Mutate bare (N, d) positions by one Euler step, then :func:`_reweight`."""
-    dv = gen.standard_normal((x.shape[0], q)) * np.sqrt(dt)
-    sig = np.asarray(model.diffusion_factor(x))
-    x = x + np.asarray(model.drift(x)) * dt + np.einsum("...ij,...j->...i", sig, dv)
+    """Mutate bare (N, d) positions by one :func:`sde._euler_step`, then :func:`_reweight`."""
+    x = _euler_step(model, x, dt, q, gen)
     if not np.all(np.isfinite(x)):
         raise ValueError("particle mutation produced non-finite positions")
 

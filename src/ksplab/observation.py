@@ -21,7 +21,11 @@ from typing import Callable
 import numpy as np
 
 from .rng import RngStream
-from .sde import DiffusionModel, SamplePath, simulate_ensemble
+from .sde import DiffusionModel, SamplePath, _ensemble_states, _n_steps
+# Unused here since check_novikov streams the states; kept importable
+# because perfbench's tracer wraps ``ksplab.observation.simulate_ensemble``
+# and reports a target that stops resolving as absent.
+from .sde import simulate_ensemble  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -163,18 +167,39 @@ def check_novikov(
     """Monte Carlo estimate of E[exp(1/2 int |h(X_s)|^2 ds)].
 
     Advisory only: a finite sample cannot prove the exponential moment is
-    finite, but overflow shows up in the ``finite`` flag.  ``dt`` defaults
-    to horizon/256.
+    finite, but overflow shows up in the ``finite`` flag (a plain ``bool``)
+    and raises no warning; the stderr of an overflowed run is NaN.  ``dt``
+    defaults to horizon/256.
+
+    The Euler ensemble is streamed, never stored: at each state ``x_k``,
+    ``k < n``, the squared sensor is summed into one ``(n_paths,)``
+    accumulator, so memory is O(n_paths) rather than the
+    O(n_steps * n_paths) of :func:`simulate_ensemble`.  The rows are added
+    in the order numpy's axis-0 sum of the stored ensemble adds them, so
+    the estimate and stderr are the same bits as storing and summing.
+
+    Order of errors: the sensor is checked at each state before the next
+    step is taken, so a non-finite sensor value raises its ``ValueError``
+    ahead of a :class:`SimulationDivergenceError` at a later (or the very
+    next) step.  A divergence on a run whose sensor stays finite raises at
+    the same step as :func:`simulate_ensemble`.
     """
     if n_paths < 100:
         raise ValueError("need at least 100 paths for a meaningful estimate")
     dt = horizon / 256 if dt is None else dt
-    _, states = simulate_ensemble(model, n_paths, horizon, dt, rng)
-    h = obs.sensor_values(states[:-1])  # (n_steps, n_paths, m)
-    integral = np.sum(h * h, axis=-1).sum(axis=0) * dt
-    with np.errstate(over="ignore"):
-        vals = np.exp(0.5 * integral)
-    finite = bool(np.all(np.isfinite(vals)))
-    estimate = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
-    return NovikovReport(estimate=estimate, stderr=stderr, finite=finite and np.isfinite(estimate))
+    n = _n_steps(horizon, dt)
+    acc = np.zeros(n_paths)  # squares are >= +0, so 0.0 + first row is that row
+    # overflow to inf (and the NaN stderr that inf values leave) is what the
+    # finite flag reports; the model's own callbacks stay outside errstate
+    for k, x in enumerate(_ensemble_states(model, n_paths, n, dt, rng)):
+        if k == n:  # x_n is drawn only to check the last step
+            break
+        h = obs.sensor_values(x)  # (n_paths, m)
+        with np.errstate(over="ignore"):
+            acc += np.sum(h * h, axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.exp(0.5 * (acc * dt))
+        finite = bool(np.all(np.isfinite(vals)))
+        estimate = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
+    return NovikovReport(estimate=estimate, stderr=stderr, finite=finite and bool(np.isfinite(estimate)))

@@ -232,30 +232,55 @@ def simulate_path(model: DiffusionModel, horizon: float, dt: float, rng: RngStre
     return SamplePath(times=times, states=states)
 
 
+def _euler_step(
+    model: DiffusionModel, x: np.ndarray, dt: float, q: int, gen: np.random.Generator
+) -> np.ndarray:
+    """One vectorized Euler-Maruyama step of ``(N, d)`` states.
+
+    Draws ``dv = standard_normal((N, q)) * sqrt(dt)`` and returns
+    ``x + a(x) dt + sigma(x) dv`` as a new array.  The caller checks the
+    result for finiteness and raises its own error.
+    """
+    dv = gen.standard_normal((x.shape[0], q)) * np.sqrt(dt)
+    sig = np.asarray(model.diffusion_factor(x))
+    return x + np.asarray(model.drift(x)) * dt + np.einsum("...ij,...j->...i", sig, dv)
+
+
+def _ensemble_states(model: DiffusionModel, n_paths: int, n: int, dt: float, rng: RngStream):
+    """Yield the ensemble states ``x_0, ..., x_n``, each a fresh ``(n_paths, d)`` array.
+
+    Draw order: the initial states, then one ``(n_paths, q)`` block per
+    step.  Raises :class:`SimulationDivergenceError` ``(k + 1)`` when step
+    ``k`` leaves the finite range, before yielding that state.
+    """
+    gen = rng.generator()
+    x = model.initial_law.sample(n_paths, gen)
+    model.validate_at(x[: min(n_paths, 8)])
+    q = model.noise_dim(x[0])
+    yield x
+    for k in range(n):
+        x = _euler_step(model, x, dt, q, gen)
+        if not np.all(np.isfinite(x)):
+            raise SimulationDivergenceError(k + 1)
+        yield x
+
+
 def simulate_ensemble(
     model: DiffusionModel, n_paths: int, horizon: float, dt: float, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized Euler-Maruyama over many paths from one stream.
 
     Returns ``(times (n+1,), states (n+1, n_paths, d))``.  Relies on the
-    broadcasting convention for drift/diffusion callbacks.
+    broadcasting convention for drift/diffusion callbacks.  Stores every
+    state, so memory is O(n_steps * n_paths * d); a caller that only folds
+    the states into per-path numbers can iterate the same stepper instead
+    (as :func:`ksplab.observation.check_novikov` does) and get the same bits
+    in O(n_paths * d).
     """
     n = _n_steps(horizon, dt)
-    gen = rng.generator()
-    x = model.initial_law.sample(n_paths, gen)
-    model.validate_at(x[: min(n_paths, 8)])
-    q = model.noise_dim(x[0])
-    sqdt = np.sqrt(dt)
-
     states = np.empty((n + 1, n_paths, model.dim_state))
-    states[0] = x
-    for k in range(n):
-        dv = gen.standard_normal((n_paths, q)) * sqdt
-        sig = np.asarray(model.diffusion_factor(x))
-        x = x + np.asarray(model.drift(x)) * dt + np.einsum("...ij,...j->...i", sig, dv)
-        if not np.all(np.isfinite(x)):
-            raise SimulationDivergenceError(k + 1)
-        states[k + 1] = x
+    for k, x in enumerate(_ensemble_states(model, n_paths, n, dt, rng)):
+        states[k] = x
     return np.arange(n + 1) * dt, states
 
 

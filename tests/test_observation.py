@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from ksplab import (
     ObservationPath,
     RngStream,
     SamplePath,
+    SimulationDivergenceError,
     check_novikov,
     girsanov_log_weight,
     girsanov_log_weights_batch,
@@ -22,6 +25,9 @@ from conftest import (
     deterministic_model,
     identity_sensor,
     ornstein_uhlenbeck,
+    planar_model,
+    planar_sensor,
+    stored_euler_ensemble,
 )
 
 
@@ -162,3 +168,79 @@ class TestCheckNovikov:
     def test_requires_enough_paths(self):
         with pytest.raises(ValueError):
             check_novikov(constant_sensor(0.0), brownian_motion(), 1.0, 50, RngStream(0))
+
+
+def stored_check_novikov(obs, model, horizon, n_paths, rng, dt=None):
+    """Reference copy of the store-then-sum Novikov estimate."""
+    dt = horizon / 256 if dt is None else dt
+    _, states = stored_euler_ensemble(model, n_paths, horizon, dt, rng)
+    h = obs.sensor_values(states[:-1])
+    integral = np.sum(h * h, axis=-1).sum(axis=0) * dt
+    with np.errstate(over="ignore"):
+        vals = np.exp(0.5 * integral)
+    finite = bool(np.all(np.isfinite(vals)))
+    estimate = float(np.mean(vals))
+    stderr = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
+    return estimate, stderr, finite and bool(np.isfinite(estimate))
+
+
+class TestStreamedNovikov:
+    @pytest.mark.parametrize(
+        "obs, model, horizon, dt",
+        [
+            # the three sensor/model pairs of the novikov_check scenario
+            (constant_sensor(0.0), brownian_motion(), 1.0, 0.01),
+            (constant_sensor(1.0), brownian_motion(), 1.0, 0.01),
+            (identity_sensor(), ornstein_uhlenbeck(), 1.0, 0.01),
+            (identity_sensor(), ornstein_uhlenbeck(), 1.0, None),
+            (planar_sensor(), planar_model(), 0.5, 0.01),
+            (identity_sensor(), ornstein_uhlenbeck(), 0.5, 0.5),  # one-step horizon
+        ],
+    )
+    def test_equals_store_then_sum(self, obs, model, horizon, dt):
+        rep = check_novikov(obs, model, horizon, 2_000, RngStream(71, 2), dt=dt)
+        ref = stored_check_novikov(obs, model, horizon, 2_000, RngStream(71, 2), dt=dt)
+        assert np.array_equal([rep.estimate, rep.stderr], ref[:2])
+        assert rep.finite is True  # a plain bool, not np.True_
+        assert ref[2]
+
+    @pytest.mark.parametrize("c", [1e200, 1e150])
+    def test_overflow_sets_flag_without_warning(self, c):
+        # 1e200 overflows at h * h, 1e150 only in the accumulated sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_novikov(constant_sensor(c), brownian_motion(), 1.0, 200, RngStream(0))
+        assert rep.finite is False
+        assert rep.estimate == math.inf
+
+    def test_divergence_raises_at_reference_step(self):
+        model = deterministic_model(lambda x: np.asarray(x, dtype=float) ** 3, 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergenceError) as ref:
+                stored_check_novikov(constant_sensor(0.0), model, 5.0, 100, RngStream(0), dt=0.5)
+            with pytest.raises(SimulationDivergenceError) as err:
+                check_novikov(constant_sensor(0.0), model, 5.0, 100, RngStream(0), dt=0.5)
+        assert err.value.step == ref.value.step >= 1
+
+    def test_non_finite_sensor_raises_before_later_divergence(self):
+        # the sensor turns NaN past 1e3, steps before the state overflows:
+        # checked step by step, the sensor's ValueError now comes first
+        model = deterministic_model(lambda x: np.asarray(x, dtype=float) ** 3, 10.0)
+        obs = ObservationModel(dim_obs=1, sensor=lambda x: np.where(np.abs(x) > 1e3, np.nan, x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergenceError):
+                stored_check_novikov(obs, model, 5.0, 100, RngStream(0), dt=0.5)
+            with pytest.raises(ValueError, match="sensor must return finite values"):
+                check_novikov(obs, model, 5.0, 100, RngStream(0), dt=0.5)
+
+    def test_memory_is_linear_in_paths(self):
+        # storing the ensemble would need (256 + 1) * n_paths * 8 bytes for
+        # the states alone, more than 10x this bound
+        n_paths = 20_000
+        tracemalloc.start()
+        try:
+            check_novikov(identity_sensor(), ornstein_uhlenbeck(), 1.0, n_paths, RngStream(9), dt=1 / 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * n_paths * 8

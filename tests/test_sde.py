@@ -20,7 +20,13 @@ from ksplab import (
     wiener_increments,
 )
 
-from conftest import brownian_motion, deterministic_model, ornstein_uhlenbeck
+from conftest import (
+    brownian_motion,
+    deterministic_model,
+    ornstein_uhlenbeck,
+    planar_model,
+    stored_euler_ensemble,
+)
 
 
 class TestWienerIncrements:
@@ -244,6 +250,37 @@ class TestMartingaleResidual:
         res = ensemble_martingale_residuals(model, f, g, h, states, 0.01)
         stderr = res.std(ddof=1) / math.sqrt(n)
         assert abs(res.mean()) < 3.0 * stderr
+
+
+class TestEnsembleStepper:
+    """``simulate_ensemble`` stores what the shared stepper yields; pin it to
+    the store-as-you-step reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make_model, horizon, dt",
+        [
+            (brownian_motion, 1.0, 0.01),
+            (ornstein_uhlenbeck, 1.0, 1 / 256),
+            (planar_model, 0.5, 0.01),
+            (ornstein_uhlenbeck, 0.25, 0.25),  # one-step horizon
+        ],
+    )
+    def test_states_equal_stored_reference(self, make_model, horizon, dt):
+        model = make_model()
+        times, states = simulate_ensemble(model, 500, horizon, dt, RngStream(61, 3))
+        ref_times, ref_states = stored_euler_ensemble(model, 500, horizon, dt, RngStream(61, 3))
+        assert np.array_equal(times, ref_times)
+        assert states.shape == ref_states.shape
+        assert np.array_equal(states, ref_states)
+
+    def test_divergence_at_same_step_as_reference(self):
+        model = deterministic_model(lambda x: np.asarray(x, dtype=float) ** 3, 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergenceError) as ref:
+                stored_euler_ensemble(model, 4, 5.0, 0.5, RngStream(0))
+            with pytest.raises(SimulationDivergenceError) as err:
+                simulate_ensemble(model, 4, 5.0, 0.5, RngStream(0))
+        assert err.value.step == ref.value.step >= 1
 
 
 class TestWeakEulerConsistency:
