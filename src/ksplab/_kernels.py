@@ -1,22 +1,30 @@
-"""Pure-numpy implementations of the hot kernels.
+"""Hot numerical kernels: Heston path stepping, the grid-transport stencil
+and systematic resampling, in numpy.
 
-These are the reference semantics; the Cython module ``_core`` mirrors
-them operation-for-operation (same arithmetic order, no FMA contraction)
-so both backends produce bit-identical results.
+These are the reference semantics; the filters, the Heston simulation and
+inner pricing call them through this module.  Two call shapes have their own
+path, and each returns the bits of the plain array step:
 
-Narrow calls: ``heston_paths`` steps fewer than ``_NARROW_COLUMNS`` columns
-one at a time with plain Python floats, because numpy's per-call overhead
-dominates a step over a handful of elements (one column of 1e5 steps: about
-1.5 s as 1-element arrays, 0.05 s as floats).  The scalar loop does the same
-IEEE operations in the same order, so both paths return the same bits.
+- Narrow calls: ``heston_paths`` steps fewer than ``_NARROW_COLUMNS`` columns
+  one at a time with plain Python floats, because numpy's per-call overhead
+  dominates a step over a handful of elements (one column of 1e5 steps: about
+  1.5 s as 1-element arrays, 0.05 s as floats).  The scalar loop does the
+  same IEEE operations in the same order as the array step, so both paths
+  return the same bits; a NaN variance propagates on both.
+- Variance only: ``heston_variance_sum`` steps just the variance of
+  ``heston_paths`` and accumulates each column's summed truncated variance in
+  O(columns) memory, for inner pricing, which needs nothing else.
 
-``heston_variance_sum`` has no compiled twin: both backends export this one.
+``BACKEND`` names the implementation; it is always ``"numpy"`` and stamps
+each run's manifest.
 """
 
 import math
 from array import array
 
 import numpy as np
+
+BACKEND = "numpy"
 
 # Below this many columns heston_paths steps plain floats column by column.
 # Measured crossover (numpy 2.4, one core): the scalar loop costs about

@@ -238,7 +238,7 @@ class TestRunners:
         assert manifest["seed"] == 3
         assert manifest["config_hash"] == cfg.config_hash()
         assert manifest["version"]
-        assert manifest["backend"] in ("cython", "numpy")
+        assert manifest["backend"] == "numpy"
 
 
 class TestCli:

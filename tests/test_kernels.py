@@ -1,9 +1,8 @@
-"""The compiled core and the numpy fallback must agree bit for bit, and the
-kernel properties callers rely on must hold on both: column independence
-(batching), conservation of the plain sum (the grid stepper), and sorted,
-in-range systematic-resampling indices with copy counts within 1 of n w_i.
-Within the numpy fallback, the scalar path for narrow calls and the
-variance-only accumulating stepper must equal the array stepper bit for bit."""
+"""The kernel properties callers rely on: column independence (batching),
+conservation of the plain sum (the grid stepper), and sorted, in-range
+systematic-resampling indices with copy counts within 1 of n w_i.  The scalar
+path for narrow calls and the variance-only accumulating stepper must equal
+the array stepper bit for bit, and a NaN variance start propagates."""
 
 from unittest import mock
 
@@ -12,66 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksplab._kernels import (
-    BACKEND,
-    backends,
-    fd_substep,
-    heston_paths,
-    heston_variance_sum,
-    resample_indices,
-)
-from ksplab._kernels import _numpy
-
-needs_ext = pytest.mark.skipif(BACKEND != "cython", reason="extension not built")
-
-
-def _pair():
-    mods = backends()
-    return mods["numpy"], mods["cython"]
-
-
-@needs_ext
-class TestBackendEquivalence:
-    def test_heston_paths_bitwise(self):
-        np_mod, cy_mod = _pair()
-        rng = np.random.default_rng(0)
-        x0 = rng.uniform(0.0, 0.2, 13)
-        y0 = rng.normal(size=13)
-        db = rng.normal(size=(400, 13)) * 0.01
-        dw = rng.normal(size=(400, 13)) * 0.01
-        for kwargs in (
-            dict(dt=1e-4, kappa=2.0, m=0.04, gamma=0.3, mu=0.05),
-            dict(dt=1e-3, kappa=0.0, m=0.0, gamma=0.0, mu=-0.1),
-            dict(dt=1e-2, kappa=5.0, m=0.1, gamma=2.0, mu=0.0),  # hits truncation
-        ):
-            xa, ya = np_mod.heston_paths(x0, y0, db, dw, **kwargs)
-            xb, yb = cy_mod.heston_paths(x0, y0, db, dw, **kwargs)
-            assert np.array_equal(xa, xb)
-            assert np.array_equal(ya, yb)
-
-    def test_fd_substep_bitwise_composed(self):
-        np_mod, cy_mod = _pair()
-        rng = np.random.default_rng(1)
-        p = rng.uniform(0.0, 1.0, 801)
-        a = rng.normal(size=801)
-        b = rng.uniform(0.5, 1.5, 801)
-        pa, pb = p.copy(), p.copy()
-        for _ in range(3000):
-            pa = np_mod.fd_substep(pa, a, b, 8e-5, 0.015)
-            pb = cy_mod.fd_substep(pb, a, b, 8e-5, 0.015)
-        assert np.array_equal(pa, pb)
-
-    def test_resample_indices_exact(self):
-        np_mod, cy_mod = _pair()
-        rng = np.random.default_rng(2)
-        for n in (2, 3, 100, 10_000):
-            w = rng.uniform(0.0, 1.0, n)
-            cw = np.cumsum(w / w.sum())
-            cw[-1] = 1.0
-            for u0 in (0.0, 0.25, 0.999999):
-                ia = np_mod.resample_indices(cw, u0, n)
-                ib = cy_mod.resample_indices(cw, u0, n)
-                assert np.array_equal(ia, ib)
+from ksplab import _kernels
+from ksplab._kernels import fd_substep, heston_paths, heston_variance_sum, resample_indices
 
 
 class TestNumpyKernelSemantics:
@@ -80,12 +21,12 @@ class TestNumpyKernelSemantics:
         p = rng.uniform(0.0, 1.0, 101)
         a = rng.normal(size=101)
         b = rng.uniform(0.5, 1.5, 101)
-        out = _numpy.fd_substep(p, a, b, 1e-5, 0.1)
+        out = fd_substep(p, a, b, 1e-5, 0.1)
         assert abs(out.sum() - p.sum()) < 1e-12 * p.sum()
 
     def test_resample_matches_searchsorted_contract(self):
         cw = np.array([0.2, 0.5, 1.0])
-        idx = _numpy.resample_indices(cw, 0.5, 5)
+        idx = resample_indices(cw, 0.5, 5)
         # u = (0.1, 0.3, 0.5, 0.7, 0.9) -> atoms (0, 1, 1, 2, 2)
         assert idx.tolist() == [0, 1, 1, 2, 2]
 
@@ -94,15 +35,25 @@ class TestNumpyKernelSemantics:
         y0 = np.array([0.0])
         db = np.zeros((1, 1))
         dw = np.zeros((1, 1))
-        x, y = _numpy.heston_paths(x0, y0, db, dw, 0.1, 1.0, 0.04, 0.3, 0.0)
+        x, y = heston_paths(x0, y0, db, dw, 0.1, 1.0, 0.04, 0.3, 0.0)
         # truncated variance is 0: drift pulls toward m, Y drifts by mu dt
         assert x[1, 0] == pytest.approx(-0.5 + 0.1 * 0.04)
         assert y[1, 0] == 0.0
 
+    @pytest.mark.parametrize("n", [2, _kernels._NARROW_COLUMNS])
+    def test_nan_variance_start_propagates(self, n):
+        # the truncation max(x, 0) keeps a NaN variance NaN: it is not mapped to 0
+        x0 = np.full(n, 0.04)
+        x0[0] = np.nan
+        db, dw = _increments(9, 50, n, 1e-2)
+        x, y = heston_paths(x0, np.zeros(n), db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
+        assert np.all(np.isnan(x[1:, 0])) and np.all(np.isnan(y[1:, 0]))
+        assert np.all(np.isfinite(x[:, 1:])) and np.all(np.isfinite(y[:, 1:]))
+
 
 class TestHestonColumnBlocks:
     """Columns never interact: a batch of column blocks run side by side in one
-    call equals the blocks run separately, bit for bit, on every backend."""
+    call equals the blocks run separately, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -123,14 +74,13 @@ class TestHestonColumnBlocks:
         db = rng.normal(size=(steps, n)) * np.sqrt(dt)
         dw = rng.normal(size=(steps, n)) * np.sqrt(dt)
         bounds = np.cumsum([0] + widths)
-        for mod in backends().values():
-            x, y = mod.heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                xb, yb = mod.heston_paths(
-                    x0[lo:hi], y0[lo:hi], db[:, lo:hi], dw[:, lo:hi], dt, kappa, m, gamma, mu
-                )
-                assert np.array_equal(x[:, lo:hi], xb)
-                assert np.array_equal(y[:, lo:hi], yb)
+        x, y = heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            xb, yb = heston_paths(
+                x0[lo:hi], y0[lo:hi], db[:, lo:hi], dw[:, lo:hi], dt, kappa, m, gamma, mu
+            )
+            assert np.array_equal(x[:, lo:hi], xb)
+            assert np.array_equal(y[:, lo:hi], yb)
 
 
 _START = st.one_of(st.just(-0.0), st.just(0.0), st.just(float("nan")), st.floats(-0.05, 0.2))
@@ -161,7 +111,7 @@ class TestNarrowHestonPath:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 2 * _numpy._NARROW_COLUMNS),
+        n=st.integers(1, 2 * _kernels._NARROW_COLUMNS),
         starts=st.lists(_START, min_size=4, max_size=4),
         mu=st.floats(-0.2, 0.2),
         **_HESTON_PARAMS,
@@ -174,11 +124,11 @@ class TestNarrowHestonPath:
         x0[: len(starts)] = starts[:n]
         y0[-1] = starts[0]
         args = (x0, y0, db, dw, dt, kappa, m, gamma, mu)
-        with mock.patch.object(_numpy, "_NARROW_COLUMNS", n + 1):
-            xs, ys = _numpy.heston_paths(*args)
-        with mock.patch.object(_numpy, "_NARROW_COLUMNS", 0):
-            xv, yv = _numpy.heston_paths(*args)
-        x, y = _numpy.heston_paths(*args)  # the path the threshold picks
+        with mock.patch.object(_kernels, "_NARROW_COLUMNS", n + 1):
+            xs, ys = heston_paths(*args)
+        with mock.patch.object(_kernels, "_NARROW_COLUMNS", 0):
+            xv, yv = heston_paths(*args)
+        x, y = heston_paths(*args)  # the path the threshold picks
         for got in (xs, x):
             assert _same_bits(got, xv)
         for got in (ys, y):
@@ -186,8 +136,8 @@ class TestNarrowHestonPath:
 
     def test_scalar_start_broadcasts(self):
         db, dw = _increments(5, 30, 3, 1e-2)
-        x, y = _numpy.heston_paths(0.04, 0.0, db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
-        xa, ya = _numpy.heston_paths(np.full(3, 0.04), np.zeros(3), db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
+        x, y = heston_paths(0.04, 0.0, db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
+        xa, ya = heston_paths(np.full(3, 0.04), np.zeros(3), db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
         assert np.array_equal(x, xa) and np.array_equal(y, ya)
 
 
@@ -214,7 +164,7 @@ class TestHestonVarianceSum:
 
 class TestFdSubstepConservation:
     """The grid stepper floors and reweights after the stencil, so the stencil
-    itself must conserve the plain sum; on every backend, to within rounding."""
+    itself must conserve the plain sum, to within rounding."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -233,9 +183,8 @@ class TestFdSubstepConservation:
         dt = dt_frac * 0.4 * cell**2 / max(float(np.max(b)), 1e-12)
         # rounding scale: every term that enters the sum
         scale = np.sum(p) + dt / cell * np.sum(np.abs(a * p) + np.abs(b * p) / cell)
-        for mod in backends().values():
-            out = mod.fd_substep(p, a, b, dt, cell)
-            assert abs(np.sum(out) - np.sum(p)) <= 1e-13 * n * scale
+        out = fd_substep(p, a, b, dt, cell)
+        assert abs(np.sum(out) - np.sum(p)) <= 1e-13 * n * scale
 
 
 class TestResampleIndicesProperties:
@@ -253,11 +202,10 @@ class TestResampleIndicesProperties:
         cw[-1] = 1.0
         # the interval each atom owns on the cumulative scale
         owned = np.diff(cw, prepend=0.0)
-        for mod in backends().values():
-            idx = mod.resample_indices(cw, u0, n_out)
-            assert idx.shape == (n_out,)
-            assert np.all(np.diff(idx) >= 0)
-            assert idx[0] >= 0 and idx[-1] < w.size
-            # systematic resampling: each atom's copy count is within 1 of n w_i
-            counts = np.bincount(idx, minlength=w.size)
-            assert np.all(np.abs(counts - n_out * owned) <= 1.0 + 1e-9)
+        idx = resample_indices(cw, u0, n_out)
+        assert idx.shape == (n_out,)
+        assert np.all(np.diff(idx) >= 0)
+        assert idx[0] >= 0 and idx[-1] < w.size
+        # systematic resampling: each atom's copy count is within 1 of n w_i
+        counts = np.bincount(idx, minlength=w.size)
+        assert np.all(np.abs(counts - n_out * owned) <= 1.0 + 1e-9)
