@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class ReducibleChainError(ValueError):
@@ -92,7 +91,15 @@ def evolve_kernel(G: np.ndarray, tau: float) -> TransitionKernel:
 
     A row-sum drift beyond 1e-10 is treated as an error, never silently
     renormalized.
+
+    This is the package's only use of scipy, so ``scipy.linalg`` is
+    imported here rather than at module top: ``import ksplab`` and every
+    scenario but ``master_demo`` never load it. The first call in a process
+    pays the one-time import, so ``master_demo``'s ``timing.json`` total
+    includes it while the process as a whole takes no longer.
     """
+    from scipy.linalg import expm
+
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     G = np.asarray(G, dtype=float)

@@ -316,3 +316,43 @@ class TestCli:
         out = str(tmp_path / "out")
         proc = run_cli("master_demo", "--config", os.path.join(root, "master_demo.json"), "--out", out)
         assert proc.returncode == 0, proc.stderr
+
+
+def scipy_loaded_after(code, *args):
+    """Run ``code`` in a fresh interpreter; return whether it left scipy loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint('scipy' in sys.modules)", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+RUN_SMALL = """
+import json
+from ksplab import validate_config
+from ksplab.harness import run_scenario
+run_scenario(validate_config(sys.argv[1], json.loads(sys.argv[2]), {}))
+"""
+
+
+def small_params(scenario, out_dir):
+    return json.dumps({**SMALL[scenario], "output_dir": out_dir, "seed": 3})
+
+
+class TestColdImport:
+    """scipy is loaded only by `evolve_kernel`, so only `master_demo` pays for it."""
+
+    @pytest.mark.parametrize("code", ["import ksplab", "import ksplab.harness, ksplab.cli"])
+    def test_import_leaves_scipy_unloaded(self, code):
+        assert not scipy_loaded_after(code)
+
+    @pytest.mark.parametrize(
+        "scenario", ["linear_compare", "heston_demo", "pricing_demo", "novikov_check"]
+    )
+    def test_scenario_leaves_scipy_unloaded(self, scenario, tmp_path):
+        assert not scipy_loaded_after(RUN_SMALL, scenario, small_params(scenario, str(tmp_path)))
+
+    def test_master_demo_loads_scipy(self, tmp_path):
+        assert scipy_loaded_after(RUN_SMALL, "master_demo", small_params("master_demo", str(tmp_path)))

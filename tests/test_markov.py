@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ksplab import (
     DistributionVector,
@@ -75,6 +76,17 @@ class TestEvolveKernel:
             for tb in (0.2, 0.9):
                 err = np.max(np.abs(evolve_kernel(G, ta + tb).Q - evolve_kernel(G, tb).Q @ evolve_kernel(G, ta).Q))
                 assert err < 1e-10
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 1.0, 7.5])
+    @pytest.mark.parametrize("W", [
+        two_state(1.0, 3.0),
+        three_cycle(),
+        rate_matrix_from_triplets([(0, 1, 1.2), (1, 0, 0.4), (1, 2, 2.0), (2, 0, 0.7)]),
+        RateMatrix(rates=np.random.default_rng(5).uniform(0, 5, size=(6, 6))),
+    ], ids=["two_state", "three_cycle", "sparse3", "dense6"])
+    def test_bits_equal_scipy_expm(self, W, tau):
+        G = generator_from_rates(W)
+        assert np.array_equal(evolve_kernel(G, tau).Q, scipy.linalg.expm(tau * G))
 
     def test_row_stochastic_validation(self):
         with pytest.raises(ValueError):
