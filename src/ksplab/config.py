@@ -2,13 +2,15 @@
 
 Each scenario owns a schema of typed, range-checked keys with defaults.
 Validation reports *all* violations at once (unknown keys, wrong types,
-out-of-range values, missing required keys), not just the first.
+out-of-range values, missing required keys, and cross-key constraints among
+keys that are valid on their own), not just the first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -117,6 +119,23 @@ SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
 }
 
 
+def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
+    """Constraints between keys, checked where every key involved is valid on its own."""
+    found = []
+    if scenario == "linear_compare" and invalid.isdisjoint({"x_lo", "x_hi"}):
+        if p["x_lo"] >= p["x_hi"]:
+            found.append(f"key 'x_lo' = {p['x_lo']!r} must be below 'x_hi' = {p['x_hi']!r}")
+    if scenario == "heston_demo" and invalid.isdisjoint({"window", "horizon", "dt"}):
+        # the path has ceil(horizon / dt) steps, as in stochvol.simulate_heston
+        n_samples = math.ceil(p["horizon"] / p["dt"] - 1e-9) + 1
+        if p["window"] >= n_samples:
+            found.append(
+                f"key 'window' = {p['window']!r} must be below the path's {n_samples} samples "
+                "(ceil(horizon / dt) + 1)"
+            )
+    return found
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
@@ -160,15 +179,20 @@ def validate_config(scenario: str, raw: dict, overrides: dict | None = None) -> 
             else:
                 merged[name] = value
 
+    invalid = set()
     for name, key in schema.items():
         if name not in merged:  # no default and not given
             violations.append(f"missing required key '{name}'")
+            invalid.add(name)
             continue
         problem = key.check(name, merged[name])
         if problem:
             violations.append(problem)
+            invalid.add(name)
         elif key.type is float:
             merged[name] = float(merged[name])
+
+    violations += _cross_key_violations(scenario, merged, invalid)
 
     if violations:
         raise ConfigError(violations)

@@ -102,6 +102,21 @@ class ParticleEnsemble:
         return np.exp(self.log_weights)
 
 
+def _check_density_values(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("density values must be finite")
+    if np.any(values < 0):
+        raise ValueError("density values must be nonnegative")
+
+
+def _normalized_values(values: np.ndarray, cell: float) -> np.ndarray:
+    """Divide node values by their trapezoidal mass; refuse a zero density."""
+    m = float(_trapezoid(values, dx=cell))
+    if m <= 0:
+        raise ValueError("cannot normalize a zero density")
+    return values / m
+
+
 @dataclass(frozen=True)
 class GridDensity:
     """Density values on a uniform 1-D grid."""
@@ -119,10 +134,7 @@ class GridDensity:
             raise ValueError("grid must be uniform")
         if values.shape != nodes.shape:
             raise ValueError("one value per node required")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density values must be finite")
-        if np.any(values < 0):
-            raise ValueError("density values must be nonnegative")
+        _check_density_values(values)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -134,10 +146,7 @@ class GridDensity:
         return float(_trapezoid(self.values, dx=self.cell))
 
     def normalized(self) -> "GridDensity":
-        m = self.mass()
-        if m <= 0:
-            raise ValueError("cannot normalize a zero density")
-        return GridDensity(self.nodes, self.values / m)
+        return GridDensity(self.nodes, _normalized_values(self.values, self.cell))
 
     def moment(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
         """Trapezoidal integral of g(x) against the density (as stored)."""
@@ -435,8 +444,8 @@ def _grid_stepper(
         factor = np.exp(h * dY - half_h2_dt)
         for _ in range(n_sub):
             p = _kernels.fd_substep(p, a_nodes, b_nodes, dt, cell)
-            neg = p < 0
-            if np.any(neg):
+            if not p.min() >= 0.0:  # also true when p holds a NaN
+                neg = p < 0
                 floored = -float(np.sum(p[neg]))
                 total = float(np.sum(np.abs(p)))
                 if total > 0 and floored > max_floored_fraction * total:
@@ -494,11 +503,16 @@ def run_grid_filter(
     normalized copy).
 
     Prepared once per run: drift, diffusion and sensor at the nodes, the
-    stability check, and h^2 dt / 2; the factor exp(h dY - h^2 dt / 2) once
-    per observation increment.  Each substep runs only the
-    forward-Kolmogorov stencil, the flooring check and cap, and the
-    multiplication by that factor.  The density is validated (and, with
-    ``renormalize``, normalized) once per observation step.
+    stability check, h^2 dt / 2 and every test function at the nodes; the
+    factor exp(h dY - h^2 dt / 2) once per observation increment.  Each
+    substep runs only the forward-Kolmogorov stencil, the flooring check and
+    cap, and the multiplication by that factor.  The density lives as bare
+    node values: once per observation step they get the finiteness and
+    non-negativity checks of :class:`GridDensity` (with its messages), are
+    normalized if ``renormalize``, and the moments are trapezoidal integrals
+    against a normalized copy, the bits of :meth:`GridDensity.moment` on
+    :meth:`GridDensity.normalized`.  A :class:`GridDensity` is built only
+    for ``return_final``.
     """
     phis = dict(phis if phis is not None else default_test_functions(max(abs(x_lo), abs(x_hi))))
     if ksp_phi is not None:
@@ -512,28 +526,32 @@ def run_grid_filter(
     n_sub = max(1, int(np.ceil(dt / bound - 1e-12)))
     # per-step flooring cap sized so that the whole run loses < 1e-6 of mass
     floor_cap = 1e-6 / (n_sub * max(1, obs_path.increments.shape[0]))
-    advance = _grid_stepper(model, obs_model, dens.nodes, dt / n_sub, floor_cap)
+    nodes, cell = dens.nodes, dens.cell
+    advance = _grid_stepper(model, obs_model, nodes, dt / n_sub, floor_cap)
+    phi_nodes = {name: np.asarray(phi(nodes[:, None])) for name, phi in phis.items()}
 
     n_times = obs_path.times.size
     moments = {name: np.empty(n_times) for name in phis}
     ess_series = np.empty(n_times)
 
-    def record(k, d: GridDensity):
-        dn = d.normalized()
-        for name, phi in phis.items():
-            moments[name][k] = dn.moment(lambda nodes: phi(nodes[:, None]))
+    def record(k, p):
+        pn = _normalized_values(p, cell)
+        for name, g in phi_nodes.items():
+            moments[name][k] = float(_trapezoid(g * pn, dx=cell))
         # weight-concentration measure on cell masses, in [1, n_grid]
-        w = dn.values / np.sum(dn.values)
+        w = pn / np.sum(pn)
         ess_series[k] = 1.0 / np.sum(w**2)
 
-    record(0, dens)
+    p = dens.values
+    record(0, p)
     for k, dy in enumerate(obs_path.increments):
-        dens = GridDensity(dens.nodes, advance(dens.values, float(dy[0]) / n_sub, n_sub))
+        p = advance(p, float(dy[0]) / n_sub, n_sub)
+        _check_density_values(p)
         if renormalize:
-            dens = dens.normalized()
-        record(k + 1, dens)
+            p = _normalized_values(p, cell)
+        record(k + 1, p)
     series = FilterEstimate(times=obs_path.times.copy(), moments=moments, ess=ess_series)
-    return (series, dens) if return_final else series
+    return (series, GridDensity(nodes, p)) if return_final else series
 
 
 # ---------------------------------------------------------------------------

@@ -132,8 +132,18 @@ class DiffusionModel:
         return sig.shape[-1]
 
     def diffusion_matrix(self, x) -> np.ndarray:
-        """b(x) = sigma(x) sigma(x)^T, shape (..., d, d)."""
+        """b(x) = sigma(x) sigma(x)^T, shape (..., d, d).
+
+        A factor broadcast over the states (every leading stride 0, as
+        :func:`constant_diffusion` returns) is multiplied once, and the
+        result is a read-only ``np.broadcast_to`` view of that one product;
+        its bits equal the stacked matmul.  Any other factor takes the
+        stacked matmul and returns a fresh array.
+        """
         sig = np.asarray(self.diffusion_factor(np.asarray(x, dtype=float)))
+        if sig.ndim > 2 and sig.size > 0 and not any(sig.strides[:-2]):
+            s0 = sig[(0,) * (sig.ndim - 2)]
+            return np.broadcast_to(s0 @ s0.T, sig.shape[:-1] + sig.shape[-2:-1])
         return sig @ np.swapaxes(sig, -1, -2)
 
     def validate_at(self, x) -> None:

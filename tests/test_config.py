@@ -66,6 +66,41 @@ class TestParseConfig:
         assert isinstance(cfg["horizon"], float)
 
 
+class TestCrossKeyChecks:
+    @pytest.mark.parametrize("x_lo, x_hi", [(1.0, 1.0), (2.0, -2.0)])
+    def test_grid_range_must_be_increasing(self, x_lo, x_hi):
+        with pytest.raises(ConfigError) as err:
+            validate_config("linear_compare", {"x_lo": x_lo, "x_hi": x_hi})
+        assert len(err.value.violations) == 1
+        assert "'x_lo'" in err.value.violations[0] and "'x_hi'" in err.value.violations[0]
+
+    def test_window_must_be_below_the_sample_count(self):
+        # horizon 0.05 at dt 1e-3 is 50 steps, 51 samples
+        base = {"horizon": 0.05, "dt": 1e-3}
+        assert validate_config("heston_demo", {**base, "window": 50})["window"] == 50
+        for window in (51, 500):
+            with pytest.raises(ConfigError) as err:
+                validate_config("heston_demo", {**base, "window": window})
+            assert err.value.violations == [
+                f"key 'window' = {window} must be below the path's 51 samples "
+                "(ceil(horizon / dt) + 1)"
+            ]
+
+    def test_reported_with_the_other_violations(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config("linear_compare", {"x_lo": 3.0, "x_hi": -3.0, "dt": -1.0, "foo": 1})
+        joined = "\n".join(err.value.violations)
+        assert len(err.value.violations) == 3
+        for token in ("x_lo", "dt", "foo"):
+            assert token in joined
+
+    def test_skipped_when_a_member_key_is_invalid(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config("heston_demo", {"dt": "small", "window": 10**9})
+        assert len(err.value.violations) == 1
+        assert "'dt'" in err.value.violations[0]
+
+
 class TestConfigHash:
     def test_hash_ignores_output_dir(self):
         a = validate_config("master_demo", {}, {"output_dir": "x"})

@@ -33,7 +33,7 @@ from ksplab import (
 )
 
 from ksplab import _kernels
-from ksplab.filters import _log_norm
+from ksplab.filters import _grid_stepper, _log_norm
 
 from conftest import brownian_motion, constant_sensor, deterministic_model, identity_sensor
 
@@ -588,6 +588,58 @@ class TestFlooringCap:
         obs = ObservationPath.from_increments(times, np.zeros((10, 1)))
         with pytest.raises(RuntimeError, match="flooring removed"):
             run_grid_filter(model, constant_sensor(0.0), obs, -6.0, 6.0, 201)
+
+
+def reference_advance(p, a_nodes, b_nodes, factor, dt, cell, cap):
+    """One substep with the flooring test written as ``np.any(p < 0)``."""
+    p = _kernels.fd_substep(p, a_nodes, b_nodes, dt, cell)
+    neg = p < 0
+    if np.any(neg):
+        floored = -float(np.sum(p[neg]))
+        total = float(np.sum(np.abs(p)))
+        assert not (total > 0 and floored > cap * total)
+        p = np.where(neg, 0.0, p)
+    return p * factor
+
+
+class TestGridErrorPaths:
+    """run_grid_filter checks bare node values once per step with GridDensity's messages."""
+
+    def test_overflowing_density_raises_finite(self):
+        model, sm, om, truth, obs = linear_setup(65, horizon=0.01)
+        huge = ObservationPath.from_increments(obs.times, np.full_like(obs.increments, 1e6))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="finite"):
+                run_grid_filter(sm, om, huge, -6.0, 6.0, 201)
+
+    def test_vanishing_density_cannot_be_normalized(self):
+        model = brownian_motion()
+        times = np.arange(4) * 1e-3
+        obs = ObservationPath.from_increments(times, np.full((3, 1), -1e6))
+        with pytest.raises(ValueError, match="cannot normalize a zero density"):
+            run_grid_filter(model, constant_sensor(1e3), obs, -6.0, 6.0, 201)
+
+    @pytest.mark.parametrize("with_negative", [False, True])
+    def test_nan_node_takes_the_old_flooring_path(self, with_negative):
+        model = drift_against_weak_diffusion() if with_negative else brownian_motion()
+        dens = gaussian_grid(0.0, 0.5, n=201)
+        p = dens.values.copy()
+        p[100] = np.nan
+        dt = 0.5 * stability_dt_bound(dens, model)
+        obs = identity_sensor()
+        advance = _grid_stepper(model, obs, dens.nodes, dt, 1.0)
+        nodes_col = dens.nodes[:, None]
+        h = obs.sensor_values(nodes_col)[:, 0]
+        a_nodes = np.asarray(model.drift(nodes_col))[:, 0]
+        b_nodes = model.diffusion_matrix(nodes_col)[..., 0, 0]
+        factor = np.exp(h * 0.02 - 0.5 * h * h * dt)
+        expected = p
+        for _ in range(3):
+            expected = reference_advance(expected, a_nodes, b_nodes, factor, dt, dens.cell, 1.0)
+        out = advance(p, 0.02, 3)
+        assert np.isnan(out).any()
+        assert np.any(out < 0) == np.any(expected < 0)
+        assert np.array_equal(out, expected, equal_nan=True)
 
 
 class TestNonFiniteRejected:

@@ -275,6 +275,23 @@ class TestCli:
         assert "dt" in proc.stderr
         assert "bogus" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "scenario, sets, token",
+        [
+            ("linear_compare", ["x_lo=2.0", "x_hi=-2.0"], "x_lo"),
+            ("heston_demo", ["horizon=0.05", "dt=1e-3", "window=51"], "window"),
+        ],
+    )
+    def test_cross_key_violation_exit_2(self, scenario, sets, token, tmp_path):
+        args = [scenario, "--out", str(tmp_path / "out")]
+        for item in sets:
+            args += ["--set", item]
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert token in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_output_dir(self, tmp_path):
         out = str(tmp_path / "env_out")
         proc = run_cli("master_demo", env_extra={"KSP_LAB_OUT": out})

@@ -23,6 +23,7 @@ from ksplab import (
 from conftest import (
     brownian_motion,
     deterministic_model,
+    identity_sensor,
     ornstein_uhlenbeck,
     planar_model,
     stored_euler_ensemble,
@@ -281,6 +282,91 @@ class TestEnsembleStepper:
             with pytest.raises(SimulationDivergenceError) as err:
                 simulate_ensemble(model, 4, 5.0, 0.5, RngStream(0))
         assert err.value.step == ref.value.step >= 1
+
+
+def _stacked_b(sig):
+    return sig @ np.swapaxes(sig, -1, -2)
+
+
+def _with_factor(factor, d):
+    return DiffusionModel(
+        dim_state=d,
+        drift=lambda x: -np.asarray(x, dtype=float),
+        diffusion_factor=factor,
+        initial_law=InitialLaw.point_mass(np.zeros(d)),
+    )
+
+
+class TestDiffusionMatrix:
+    """A broadcast constant factor is multiplied once; the bits must be the stacked matmul's."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_broadcast_constant_equals_stacked_matmul(self, d, q):
+        rng = np.random.default_rng(100 * d + q)
+        for _ in range(10):
+            sigma = rng.normal(size=(d, q)) * rng.lognormal(size=(d, 1))
+            factor = constant_diffusion(sigma)
+            model = _with_factor(factor, d)
+            for lead in [(7,), (3, 5), (1,)]:
+                x = rng.normal(size=lead + (d,))
+                b = model.diffusion_matrix(x)
+                expected = _stacked_b(np.asarray(factor(x)))
+                assert b.shape == lead + (d, d)
+                assert np.array_equal(b, expected)
+                assert not b.flags.writeable  # a view of the one product
+
+    def test_state_dependent_factor_takes_stacked_path(self):
+        factor = lambda x: np.asarray(x)[..., :, None] * np.array([[1.0, 0.5], [0.2, -1.0]])
+        model = _with_factor(factor, 2)
+        x = np.random.default_rng(5).normal(size=(6, 2))
+        b = model.diffusion_matrix(x)
+        assert np.array_equal(b, _stacked_b(factor(x)))
+        assert b.flags.writeable
+
+    def test_single_state_is_plain_matmul(self):
+        sigma = np.array([[1.0, 0.3], [0.0, 2.0]])
+        b = _with_factor(constant_diffusion(sigma), 2).diffusion_matrix([0.1, 0.2])
+        assert np.array_equal(b, sigma @ sigma.T)
+        assert b.flags.writeable
+
+    def test_zero_length_leading_axis(self):
+        model = _with_factor(constant_diffusion(np.ones((2, 3))), 2)
+        b = model.diffusion_matrix(np.empty((0, 2)))
+        assert b.shape == (0, 2, 2)
+
+    def test_dependent_results_unchanged(self):
+        # the same constant factor copied into a fresh array takes the stacked
+        # path; every consumer must get the same bits from both models
+        from ksplab.filters import GridDensity, _grid_stepper, stability_dt_bound
+        from ksplab.sde import generator_values
+
+        factor = constant_diffusion([[0.8]])
+        fast = _with_factor(factor, 1)
+        stacked = _with_factor(lambda x: np.array(factor(x)), 1)
+        nodes = np.linspace(-4.0, 4.0, 161)
+        x = nodes[:, None]
+        assert np.array_equal(fast.diffusion_matrix(x), stacked.diffusion_matrix(x))
+        for model in (fast, stacked):
+            model.validate_at(x[:8])
+        dens = GridDensity(nodes, np.exp(-0.5 * nodes**2))
+        bound = stability_dt_bound(dens, fast)
+        assert bound == stability_dt_bound(dens, stacked)
+        grad, hess = (lambda y: 2 * y), (lambda y: 2 * np.ones(y.shape + (1,)))
+        assert np.array_equal(
+            generator_values(fast, grad, hess, x), generator_values(stacked, grad, hess, x)
+        )
+        p_fast, p_stacked = (
+            _grid_stepper(m, identity_sensor(), nodes, 0.5 * bound, 1e-8)(dens.values, 0.01, 3)
+            for m in (fast, stacked)
+        )
+        assert np.array_equal(p_fast, p_stacked)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_at_still_rejects_non_finite_constant(self, bad):
+        model = _with_factor(constant_diffusion([[1.0, 0.0], [bad, 1.0]]), 2)
+        with pytest.raises(ValueError, match="finite"):
+            model.validate_at(np.zeros((8, 2)))
 
 
 class TestWeakEulerConsistency:
