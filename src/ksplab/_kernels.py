@@ -2,18 +2,17 @@
 and systematic resampling, in numpy.
 
 These are the reference semantics; the filters, the Heston simulation and
-inner pricing call them through this module.  Two call shapes have their own
-path, and each returns the bits of the plain array step:
+inner pricing call them through this module.  The full-truncation Euler step
+of the Heston model has one implementation per kind of state.  Both do the
+same IEEE operations in the same order, so they give a column the same bits,
+and a NaN variance propagates on both:
 
-- Narrow calls: ``heston_paths`` steps fewer than ``_NARROW_COLUMNS`` columns
-  one at a time with plain Python floats, because numpy's per-call overhead
-  dominates a step over a handful of elements (one column of 1e5 steps: about
-  1.5 s as 1-element arrays, 0.05 s as floats).  The scalar loop does the
-  same IEEE operations in the same order as the array step, so both paths
-  return the same bits; a NaN variance propagates on both.
-- Variance only: ``heston_variance_sum`` steps just the variance of
-  ``heston_paths`` and accumulates each column's summed truncated variance in
-  O(columns) memory, for inner pricing, which needs nothing else.
+- ``heston_paths`` steps each column of the variance/log-price pair in plain
+  Python floats (``_heston_column``): numpy's per-call overhead dominates a
+  step over a handful of elements (one column of 1e5 steps: about 1.5 s as
+  1-element arrays, 0.05 s as floats).
+- ``variance_step`` advances an (n,) variance array in place; inner pricing
+  (``heston_variance_sum``) and the Heston particle filter step with it.
 
 ``BACKEND`` names the implementation; it is always ``"numpy"`` and stamps
 each run's manifest.
@@ -25,12 +24,6 @@ from array import array
 import numpy as np
 
 BACKEND = "numpy"
-
-# Below this many columns heston_paths steps plain floats column by column.
-# Measured crossover (numpy 2.4, one core): the scalar loop costs about
-# 0.6 us per column-step, the array step about 15 us per step whatever the
-# width, so they meet near 26-30 columns.
-_NARROW_COLUMNS = 24
 
 
 def _heston_column(x0, y0, db, dw, dt, kappa, m, gamma, mu):
@@ -69,25 +62,38 @@ def heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu):
     y = np.empty((steps + 1, n))
     x[0] = x0
     y[0] = y0
-    if n < _NARROW_COLUMNS:
-        params = (float(dt), float(kappa), float(m), float(gamma), float(mu))
-        for j in range(n):
-            xs, ys = _heston_column(
-                float(x[0, j]),
-                float(y[0, j]),
-                memoryview(np.ascontiguousarray(db[:, j])),
-                memoryview(np.ascontiguousarray(dw[:, j])),
-                *params,
-            )
-            x[:, j] = np.frombuffer(xs)
-            y[:, j] = np.frombuffer(ys)
-        return x, y
-    for k in range(steps):
-        xp = np.maximum(x[k], 0.0)
-        vol = np.sqrt(xp)
-        x[k + 1] = x[k] + kappa * (m - xp) * dt + gamma * vol * db[k]
-        y[k + 1] = y[k] + (mu - 0.5 * xp) * dt + vol * dw[k]
+    params = (float(dt), float(kappa), float(m), float(gamma), float(mu))
+    for j in range(n):
+        xs, ys = _heston_column(
+            float(x[0, j]),
+            float(y[0, j]),
+            memoryview(np.ascontiguousarray(db[:, j])),
+            memoryview(np.ascontiguousarray(dw[:, j])),
+            *params,
+        )
+        x[:, j] = np.frombuffer(xs)
+        y[:, j] = np.frombuffer(ys)
     return x, y
+
+
+def variance_step(x, db, dt, kappa, m, gamma, xp, drift, vol):
+    """One full-truncation Euler step of the variance, in place.
+
+    Updates the (n,) float array ``x`` to
+    ``x + kappa * (m - xp) * dt + gamma * sqrt(xp) * db`` with
+    ``xp = max(x, 0)``, operation by operation as ``heston_paths`` does.
+    ``xp``, ``drift`` and ``vol`` are (n,) scratch rows; afterwards ``xp``
+    holds the truncated pre-step variance.
+    """
+    np.maximum(x, 0.0, out=xp)
+    np.sqrt(xp, out=vol)
+    np.subtract(m, xp, out=drift)
+    drift *= kappa
+    drift *= dt
+    x += drift
+    vol *= gamma
+    vol *= db
+    x += vol
 
 
 def heston_variance_sum(x0, db, dt, kappa, m, gamma):
@@ -103,25 +109,16 @@ def heston_variance_sum(x0, db, dt, kappa, m, gamma):
     Memory is O(n): no (steps+1, n) path matrix is kept.
     """
     db = np.asarray(db, dtype=float)
-    steps, n = db.shape
+    n = db.shape[1]
     x = np.empty(n)
     x[...] = x0
     acc = np.zeros(n)
     xp = np.empty(n)
     drift = np.empty(n)
     vol = np.empty(n)
-    for k in range(steps):
-        # x + kappa * (m - xp) * dt + gamma * vol * db[k], operation by operation
-        np.maximum(x, 0.0, out=xp)
+    for dbk in db:
+        variance_step(x, dbk, dt, kappa, m, gamma, xp, drift, vol)
         acc += xp
-        np.sqrt(xp, out=vol)
-        np.subtract(m, xp, out=drift)
-        drift *= kappa
-        drift *= dt
-        x += drift
-        vol *= gamma
-        vol *= db[k]
-        x += vol
     return acc
 
 

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .config import ConfigError, SCENARIO_SCHEMAS, validate_config
+from .config import ConfigError, SCENARIO_SCHEMAS, read_document, validate_config
 from .harness import RUNNERS, run_scenario
 
 
@@ -66,14 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         file_values = {}
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
-                file_values = json.loads(fh.read())
-            if not isinstance(file_values, dict):
-                raise ConfigError(["top-level document must be a JSON object"])
-            declared = file_values.pop("scenario", args.command)
-            if declared != args.command:
-                raise ConfigError(
-                    [f"config declares scenario '{declared}' but '{args.command}' was requested"]
-                )
+                _, file_values = read_document(fh.read(), args.command)
         overrides = _parse_set(args.set)
         env_out = os.environ.get("KSP_LAB_OUT")
         if env_out and "output_dir" not in overrides:
@@ -87,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable file or not UTF-8
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

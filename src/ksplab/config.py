@@ -199,15 +199,27 @@ def validate_config(scenario: str, raw: dict, overrides: dict | None = None) -> 
     return ExperimentConfig(scenario=scenario, params=merged)
 
 
-def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse a JSON config document; the 'scenario' key selects the schema."""
+def read_document(text: str, scenario: str | None = None) -> tuple[str, dict]:
+    """Split a JSON config document into its scenario and its other keys.
+
+    A document without a 'scenario' key takes ``scenario``; with ``scenario``
+    given, a document that declares another scenario is rejected.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigError(["top-level document must be a JSON object"])
-    scenario = raw.pop("scenario", None)
-    if scenario is None:
+    declared = raw.pop("scenario", scenario)
+    if declared is None:
         raise ConfigError(["missing required key 'scenario'"])
+    if scenario is not None and declared != scenario:
+        raise ConfigError([f"config declares scenario '{declared}' but '{scenario}' was requested"])
+    return declared, raw
+
+
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
+    """Parse a JSON config document; the 'scenario' key selects the schema."""
+    scenario, raw = read_document(text)
     return validate_config(scenario, raw, overrides)

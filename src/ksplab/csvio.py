@@ -104,7 +104,7 @@ def rate_matrix_from_csv(path) -> RateMatrix:
     return rate_matrix_from_triplets(triplets)
 
 
-def matrix_to_csv(mat: np.ndarray, path, prefix: str = "q") -> None:
+def matrix_to_csv(mat: np.ndarray, path) -> None:
     mat = np.atleast_2d(mat)
-    header = [f"{prefix}_{j + 1}" for j in range(mat.shape[1])]
+    header = [f"q_{j + 1}" for j in range(mat.shape[1])]
     write_csv(path, header, mat)

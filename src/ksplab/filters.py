@@ -130,6 +130,8 @@ class GridDensity:
         if nodes.ndim != 1 or nodes.size < 3:
             raise ValueError("need at least 3 grid nodes")
         steps = np.diff(nodes)
+        if not np.all(steps > 0):
+            raise ValueError("grid nodes must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > 1e-12 * max(abs(steps[0]), 1.0):
             raise ValueError("grid must be uniform")
         if values.shape != nodes.shape:

@@ -497,9 +497,8 @@ def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     mixture_err = abs(p_mix - p_mix_direct)
 
     # Monte Carlo self-consistency under the full model from a prior ensemble
-    law = InitialLaw.gaussian([model.x0], [[max(0.25 * model.x0, 1e-4) ** 2]])
     gen = RngStream(seed, STREAM_PRICING).substream(2).generator()
-    positions = np.abs(law.sample(cfg["n_particles"], gen))
+    positions = np.abs(model.variance_prior().sample(cfg["n_particles"], gen))
     prior = ParticleEnsemble(
         positions=positions,
         log_weights=np.full(cfg["n_particles"], -np.log(float(cfg["n_particles"]))),

@@ -122,9 +122,8 @@ class DiffusionModel:
                 f"initial law dimension {self.initial_law.dim} != dim_state {self.dim_state}"
             )
 
-    def noise_dim(self, x=None) -> int:
-        x = np.zeros(self.dim_state) if x is None else np.asarray(x, dtype=float)
-        sig = np.asarray(self.diffusion_factor(x))
+    def noise_dim(self, x) -> int:
+        sig = np.asarray(self.diffusion_factor(np.asarray(x, dtype=float)))
         if sig.shape[-2] != self.dim_state:
             raise ValueError(
                 f"diffusion_factor returned shape {sig.shape}, expected (..., {self.dim_state}, q)"
@@ -216,30 +215,14 @@ def _n_steps(horizon: float, dt: float) -> int:
 
 
 def simulate_path(model: DiffusionModel, horizon: float, dt: float, rng: RngStream) -> SamplePath:
-    """Euler-Maruyama simulation of one path.
+    """Euler-Maruyama simulation of one path: :func:`simulate_ensemble` with one path.
 
     X_{k+1} = X_k + a(X_k) dt + sigma(X_k) dV_k, starting from a draw of the
-    initial law.  Draw order: initial state first, then the whole increment
-    block, so identical streams give identical paths.
+    initial law.  Draw order: initial state first, then one ``(1, q)``
+    increment block per step, so identical streams give identical paths.
     """
-    n = _n_steps(horizon, dt)
-    gen = rng.generator()
-    x0 = model.initial_law.sample(1, gen)[0]
-    model.validate_at(x0)
-    q = model.noise_dim(x0)
-    dv = gen.standard_normal((n, q)) * np.sqrt(dt)
-
-    states = np.empty((n + 1, model.dim_state))
-    states[0] = x0
-    x = x0
-    for k in range(n):
-        sig = np.asarray(model.diffusion_factor(x))
-        x = x + np.asarray(model.drift(x)) * dt + sig @ dv[k]
-        if not np.all(np.isfinite(x)):
-            raise SimulationDivergenceError(k + 1)
-        states[k + 1] = x
-    times = np.arange(n + 1) * dt
-    return SamplePath(times=times, states=states)
+    times, states = simulate_ensemble(model, 1, horizon, dt, rng)
+    return SamplePath(times=times, states=states[:, 0])
 
 
 def _euler_step(
@@ -281,7 +264,9 @@ def simulate_ensemble(
     """Vectorized Euler-Maruyama over many paths from one stream.
 
     Returns ``(times (n+1,), states (n+1, n_paths, d))``.  Relies on the
-    broadcasting convention for drift/diffusion callbacks.  Stores every
+    broadcasting convention for drift/diffusion callbacks.  Every path is
+    stepped by ``_euler_step``, which sums sigma dV with ``einsum``;
+    :func:`simulate_path` is the ``n_paths = 1`` case.  Stores every
     state, so memory is O(n_steps * n_paths * d); a caller that only folds
     the states into per-path numbers can iterate the same stepper instead
     (as :func:`ksplab.observation.check_novikov` does) and get the same bits
@@ -371,12 +356,12 @@ def ensemble_martingale_residuals(
     return np.asarray(f(states[-1])) - np.asarray(f(states[0])) - av.sum(axis=0) * dt
 
 
-def fd_grad(f: Callable, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
+def fd_grad(f: Callable, x: np.ndarray) -> np.ndarray:
     """Central-difference gradient fallback, step 1e-5 * (1 + |x_i|) per axis."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     g = np.empty_like(x)
     for i in range(x.size):
-        h = rel_step * (1.0 + abs(x[i]))
+        h = 1e-5 * (1.0 + abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -384,12 +369,12 @@ def fd_grad(f: Callable, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
     return g
 
 
-def fd_hess(f: Callable, x: np.ndarray, rel_step: float = 1e-5) -> np.ndarray:
+def fd_hess(f: Callable, x: np.ndarray) -> np.ndarray:
     """Central-difference Hessian fallback (symmetric by construction)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     d = x.size
     hess = np.empty((d, d))
-    steps = rel_step * (1.0 + np.abs(x))
+    steps = 1e-5 * (1.0 + np.abs(x))
     f0 = f(x)
     for i in range(d):
         hi = steps[i]

@@ -45,6 +45,10 @@ class HestonModel:
         if self.s0 <= 0:
             raise ValueError("initial price must be positive")
 
+    def variance_prior(self) -> InitialLaw:
+        """Gaussian prior on the variance: mean x0, sd max(x0 / 4, 1e-4)."""
+        return InitialLaw.gaussian([self.x0], [[max(0.25 * self.x0, 1e-4) ** 2]])
+
 
 @dataclass(frozen=True)
 class EquityPaths:
@@ -267,25 +271,28 @@ def filtered_option_price(
     return float(ens.weights @ prices)
 
 
+_X_FLOOR = 1e-8  # keeps heston_filter's observation density finite at x <= 0
+
+
 def heston_filter(
     model: HestonModel,
     log_price: np.ndarray,
     dt: float,
     n_particles: int,
     rng: RngStream,
-    initial_law: InitialLaw | None = None,
     resample_threshold: float = 0.5,
-    x_floor: float = 1e-8,
     snapshot_indices=None,
 ):
     """Particle filter for the latent variance given a log-price record.
 
-    The observed increment dY_k is Gaussian with mean (mu - x/2) dt and
-    variance max(x, x_floor) dt given the pre-step variance x, so each step
-    weights with that density at the current particles, resamples if the
-    effective sample size degenerates, then mutates through the variance
-    dynamics.  Moments "x" (posterior mean) and "x2" are recorded on the
-    record grid; estimates at t_k use observations up to t_k.
+    The particles start from ``model.variance_prior()``.  The observed
+    increment dY_k is Gaussian with mean (mu - x/2) dt and variance
+    max(x, _X_FLOOR) dt given the pre-step variance x, so each step weights
+    with that density at the current particles, resamples if the effective
+    sample size degenerates, then mutates the particles in place through the
+    variance dynamics, ``_kernels.variance_step``.  Moments "x" (posterior
+    mean) and "x2" are recorded on the record grid; estimates at t_k use
+    observations up to t_k.
 
     The particles live as bare arrays: the reweight / normalize / resample
     step is ``filters._reweight``, the cycle ``pf_step`` runs, and an
@@ -299,12 +306,9 @@ def heston_filter(
         raise ValueError("log_price must be a 1-D series with at least two points")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if initial_law is None:
-        spread = max(0.25 * model.x0, 1e-4)
-        initial_law = InitialLaw.gaussian([model.x0], [[spread**2]])
 
     gen = rng.generator()
-    x = initial_law.sample(n_particles, gen)[:, 0]
+    x = model.variance_prior().sample(n_particles, gen)[:, 0]
     lw = np.full(n_particles, -np.log(n_particles))
 
     n = y.size
@@ -326,19 +330,20 @@ def heston_filter(
     w = np.exp(lw)
     record(0, x, lw, w, 1.0 / np.sum(w**2))
     dy = np.diff(y)
+    sqrt_dt = math.sqrt(dt)
+    xp, drift, vol = np.empty(n_particles), np.empty(n_particles), np.empty(n_particles)
     for k in range(n - 1):
         # weight with the transition density of the observed increment
-        var = np.maximum(x, x_floor) * dt
+        var = np.maximum(x, _X_FLOOR) * dt
         resid = dy[k] - (model.mu - 0.5 * x) * dt
         log_incr = -0.5 * (resid**2 / var + np.log(2 * np.pi * var))
         x, lw, w, n_eff = _reweight(x, lw, log_incr, gen, resample_threshold)
 
-        # mutate through the variance dynamics (full truncation); the weights
-        # do not change, so the cycle's w and ESS are those of the new x
-        xp = np.maximum(x, 0.0)
-        x = x + model.kappa * (model.m - xp) * dt + model.gamma * np.sqrt(xp) * (
-            gen.standard_normal(n_particles) * np.sqrt(dt)
-        )
+        # mutate through the variance dynamics in place; the weights do not
+        # change, so the cycle's w and ESS are those of the new x
+        db = gen.standard_normal(n_particles)
+        db *= sqrt_dt
+        _kernels.variance_step(x, db, dt, model.kappa, model.m, model.gamma, xp, drift, vol)
         record(k + 1, x, lw, w, n_eff)
 
     est = FilterEstimate(

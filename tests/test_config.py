@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ksplab import ConfigError, parse_config, validate_config
+from ksplab.config import read_document
 
 
 class TestParseConfig:
@@ -21,6 +22,19 @@ class TestParseConfig:
         msg = "\n".join(err.value.violations)
         assert "dt" in msg
         assert "minimum" in msg
+
+    def test_document_reader_shared_by_file_and_cli(self):
+        # one reader: malformed JSON, a non-object, and a scenario mismatch
+        for text, token in (
+            ('{"seed": 7,', "not valid JSON"),
+            ("[1, 2]", "JSON object"),
+            ('{"seed": 7}', "missing required key 'scenario'"),
+        ):
+            with pytest.raises(ConfigError, match=token):
+                parse_config(text)
+        with pytest.raises(ConfigError, match="declares scenario 'master_demo'"):
+            read_document('{"scenario": "master_demo"}', "linear_compare")
+        assert read_document('{"seed": 7}', "linear_compare") == ("linear_compare", {"seed": 7})
 
     def test_unknown_key_listed(self):
         with pytest.raises(ConfigError) as err:

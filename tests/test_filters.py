@@ -651,6 +651,13 @@ class TestNonFiniteRejected:
         with pytest.raises(ValueError, match="finite"):
             GridDensity(nodes, values)
 
+    def test_grid_density_decreasing_nodes(self):
+        # a decreasing grid would give a negative cell and a negative mass
+        with pytest.raises(ValueError, match="increasing"):
+            GridDensity(np.linspace(1.0, -1.0, 11), np.ones(11))
+        with pytest.raises(ValueError, match="increasing"):
+            GridDensity.from_initial_law(InitialLaw.gaussian([0.0], [[1.0]]), 1.0, -1.0, 11)
+
     def test_normalized_ensemble_nan_log_weight(self):
         with pytest.raises(ValueError, match="normalized weights sum"):
             ParticleEnsemble(

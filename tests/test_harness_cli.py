@@ -274,6 +274,13 @@ class TestCli:
         assert proc.returncode == 2
         assert "dt" in proc.stderr
         assert "bogus" in proc.stderr
+        # a malformed or non-UTF-8 document is a config error too, not a traceback
+        for data, token in ((b'{"seed": 7,', "not valid JSON"), (b'\xff{"seed": 7}', "utf-8")):
+            cfg_file.write_bytes(data)
+            proc = run_cli("linear_compare", "--config", str(cfg_file))
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("config error:") and token in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
         "scenario, sets, token",

@@ -1,18 +1,39 @@
 """The kernel properties callers rely on: column independence (batching),
 conservation of the plain sum (the grid stepper), and sorted, in-range
-systematic-resampling indices with copy counts within 1 of n w_i.  The scalar
-path for narrow calls and the variance-only accumulating stepper must equal
-the array stepper bit for bit, and a NaN variance start propagates."""
-
-from unittest import mock
+systematic-resampling indices with copy counts within 1 of n w_i.  The
+scalar column stepper of heston_paths, the in-place variance step and the
+variance-only accumulating stepper must equal the array reference below bit
+for bit, and a NaN variance start propagates."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksplab import _kernels
-from ksplab._kernels import fd_substep, heston_paths, heston_variance_sum, resample_indices
+from ksplab._kernels import (
+    fd_substep,
+    heston_paths,
+    heston_variance_sum,
+    resample_indices,
+    variance_step,
+)
+
+
+def array_heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu):
+    """Reference: the full-truncation Euler step on whole rows of columns,
+    as heston_paths stepped 24 columns or more before it became one column
+    stepper."""
+    steps, n = db.shape
+    x = np.empty((steps + 1, n))
+    y = np.empty((steps + 1, n))
+    x[0] = x0
+    y[0] = y0
+    for k in range(steps):
+        xp = np.maximum(x[k], 0.0)
+        vol = np.sqrt(xp)
+        x[k + 1] = x[k] + kappa * (m - xp) * dt + gamma * vol * db[k]
+        y[k + 1] = y[k] + (mu - 0.5 * xp) * dt + vol * dw[k]
+    return x, y
 
 
 class TestNumpyKernelSemantics:
@@ -40,7 +61,7 @@ class TestNumpyKernelSemantics:
         assert x[1, 0] == pytest.approx(-0.5 + 0.1 * 0.04)
         assert y[1, 0] == 0.0
 
-    @pytest.mark.parametrize("n", [2, _kernels._NARROW_COLUMNS])
+    @pytest.mark.parametrize("n", [2, 24])
     def test_nan_variance_start_propagates(self, n):
         # the truncation max(x, 0) keeps a NaN variance NaN: it is not mapped to 0
         x0 = np.full(n, 0.04)
@@ -105,13 +126,13 @@ def _same_bits(a, b):
 
 
 class TestNarrowHestonPath:
-    """Fewer than _NARROW_COLUMNS columns are stepped as plain floats; that
-    scalar path equals the array step bit for bit, including the truncation,
-    a signed zero and a NaN start."""
+    """heston_paths steps each column as plain floats; at every width that
+    equals the array reference bit for bit, including the truncation, a
+    signed zero and a NaN start."""
 
     @settings(max_examples=60, deadline=None)
     @given(
-        n=st.integers(1, 2 * _kernels._NARROW_COLUMNS),
+        n=st.integers(1, 48),
         starts=st.lists(_START, min_size=4, max_size=4),
         mu=st.floats(-0.2, 0.2),
         **_HESTON_PARAMS,
@@ -124,21 +145,52 @@ class TestNarrowHestonPath:
         x0[: len(starts)] = starts[:n]
         y0[-1] = starts[0]
         args = (x0, y0, db, dw, dt, kappa, m, gamma, mu)
-        with mock.patch.object(_kernels, "_NARROW_COLUMNS", n + 1):
-            xs, ys = heston_paths(*args)
-        with mock.patch.object(_kernels, "_NARROW_COLUMNS", 0):
-            xv, yv = heston_paths(*args)
-        x, y = heston_paths(*args)  # the path the threshold picks
-        for got in (xs, x):
-            assert _same_bits(got, xv)
-        for got in (ys, y):
-            assert _same_bits(got, yv)
+        x, y = heston_paths(*args)
+        xa, ya = array_heston_paths(*args)
+        assert _same_bits(x, xa)
+        assert _same_bits(y, ya)
 
     def test_scalar_start_broadcasts(self):
         db, dw = _increments(5, 30, 3, 1e-2)
         x, y = heston_paths(0.04, 0.0, db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
         xa, ya = heston_paths(np.full(3, 0.04), np.zeros(3), db, dw, 1e-2, 2.0, 0.04, 0.3, 0.05)
         assert np.array_equal(x, xa) and np.array_equal(y, ya)
+
+
+class TestVarianceStep:
+    """Each variance_step updates x in place to the array reference's next
+    variance row, bit for bit, and leaves max(x, 0) of the pre-step x in xp."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 48),
+        starts=st.lists(_START, min_size=4, max_size=4),
+        **_HESTON_PARAMS,
+    )
+    def test_steps_equal_array_reference(self, n, starts, steps, seed, dt, kappa, m, gamma):
+        db, _ = _increments(seed, steps, n, dt)
+        x0 = np.random.default_rng(seed + 1).uniform(-0.05, 0.2, n)
+        x0[: len(starts)] = starts[:n]
+        xa, _ = array_heston_paths(x0, np.zeros(n), db, np.zeros_like(db), dt, kappa, m, gamma, 0.0)
+        x = x0.copy()
+        xp, drift, vol = np.empty(n), np.empty(n), np.empty(n)
+        for k in range(steps):
+            variance_step(x, db[k], dt, kappa, m, gamma, xp, drift, vol)
+            assert _same_bits(x, xa[k + 1])
+            assert _same_bits(xp, np.maximum(xa[k], 0.0))
+
+    def test_nan_and_negative_zero_starts(self):
+        x0 = np.array([np.nan, -0.0, 0.0, -0.01, 0.04])
+        db = np.full((1, 5), 0.1)
+        xa, _ = array_heston_paths(
+            x0, np.zeros(5), db, np.zeros_like(db), 1e-2, 2.0, 0.04, 0.3, 0.0
+        )
+        x = x0.copy()
+        xp, drift, vol = np.empty(5), np.empty(5), np.empty(5)
+        variance_step(x, db[0], 1e-2, 2.0, 0.04, 0.3, xp, drift, vol)
+        assert _same_bits(x, xa[1])
+        assert np.isnan(x[0]) and np.isnan(xp[0])
+        assert not np.any(np.signbit(xp[1:]))  # max(-0.0, 0.0) is +0.0
 
 
 class TestHestonVarianceSum:

@@ -14,6 +14,7 @@ from ksplab import (
     ensemble_martingale_residuals,
     fd_grad,
     fd_hess,
+    linear_drift,
     martingale_residual,
     simulate_ensemble,
     simulate_path,
@@ -107,6 +108,89 @@ class TestSimulatePath:
             simulate_path(model, -1.0, 0.1, RngStream(0))
         with pytest.raises(ValueError):
             simulate_path(model, 1.0, 2.0, RngStream(0))
+
+
+def parent_simulate_path(model, horizon, dt, rng):
+    """In-test copy of simulate_path's own loop before it ran the ensemble
+    stepper: one (n, q) increment block drawn up front, sigma dV summed by @."""
+    from ksplab.sde import _n_steps
+
+    n = _n_steps(horizon, dt)
+    gen = rng.generator()
+    x0 = model.initial_law.sample(1, gen)[0]
+    model.validate_at(x0)
+    q = model.noise_dim(x0)
+    dv = gen.standard_normal((n, q)) * np.sqrt(dt)
+    states = np.empty((n + 1, model.dim_state))
+    states[0] = x0
+    x = x0
+    for k in range(n):
+        sig = np.asarray(model.diffusion_factor(x))
+        x = x + np.asarray(model.drift(x)) * dt + sig @ dv[k]
+        if not np.all(np.isfinite(x)):
+            raise SimulationDivergenceError(k + 1)
+        states[k + 1] = x
+    return np.arange(n + 1) * dt, states
+
+
+def linear_model(F, sigma, mean, cov):
+    """dX = F X dt + sigma dV with a Gaussian start."""
+    return DiffusionModel(
+        dim_state=len(mean),
+        drift=linear_drift(F, np.zeros(len(mean))),
+        diffusion_factor=constant_diffusion(sigma),
+        initial_law=InitialLaw.gaussian(mean, cov),
+    )
+
+
+def coupled_one_noise():
+    return linear_model([[-1.0, 0.5], [0.0, -2.0]], [[0.3], [1.0]], [0.1, -0.2], np.eye(2))
+
+
+def coupled_three_noises():
+    sigma = [[0.3, 0.1, -0.2], [0.05, 0.7, 0.4]]
+    return linear_model([[-1.0, 0.3], [-0.2, -0.5]], sigma, [0.2, 0.1], np.eye(2))
+
+
+class TestSimulatePathIsOnePathEnsemble:
+    """simulate_path is simulate_ensemble with one path.  With one noise
+    (q = 1) it keeps the bits of its own old loop; with q >= 2 sigma dV is
+    summed by einsum instead of @, within 1e-15 of the old loop."""
+
+    @pytest.mark.parametrize(
+        "make_model, horizon, dt",
+        [
+            (brownian_motion, 1.0, 0.01),
+            (ornstein_uhlenbeck, 1.0, 1 / 256),
+            (lambda: ornstein_uhlenbeck(theta=2.0, x0=0.5), 0.25, 0.25),  # one step
+            (coupled_one_noise, 1.0, 1e-3),
+        ],
+    )
+    def test_one_noise_keeps_old_bits(self, make_model, horizon, dt):
+        model = make_model()
+        path = simulate_path(model, horizon, dt, RngStream(62, 1))
+        times, states = parent_simulate_path(model, horizon, dt, RngStream(62, 1))
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.states, states)
+
+    @pytest.mark.parametrize("make_model", [planar_model, coupled_three_noises])
+    def test_several_noises_equal_one_path_ensemble(self, make_model):
+        model = make_model()
+        path = simulate_path(model, 1.0, 1e-3, RngStream(63, 1))
+        times, states = simulate_ensemble(model, 1, 1.0, 1e-3, RngStream(63, 1))
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.states, states[:, 0])
+        _, old = parent_simulate_path(model, 1.0, 1e-3, RngStream(63, 1))
+        assert np.max(np.abs(path.states - old)) <= 1e-15
+
+    def test_divergence_at_same_step_as_old_loop(self):
+        model = deterministic_model(lambda x: np.asarray(x, dtype=float) ** 3, 10.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SimulationDivergenceError) as ref:
+                parent_simulate_path(model, 5.0, 0.5, RngStream(0))
+            with pytest.raises(SimulationDivergenceError) as err:
+                simulate_path(model, 5.0, 0.5, RngStream(0))
+        assert err.value.step == ref.value.step >= 1
 
 
 class TestApplyGenerator:
