@@ -67,13 +67,23 @@ def _check_normalized(w: np.ndarray) -> None:
         raise ValueError(f"normalized weights sum to {total!r}")
 
 
+def _uniform_log_weights(n: int) -> np.ndarray:
+    """Log weights of n equally weighted particles, -log(n) each."""
+    return np.full(n, -np.log(n))
+
+
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Weighted point masses; log weights to dodge underflow."""
+    """Weighted point masses approximating the normalized conditional law.
+
+    Log weights dodge underflow; their exponentials must sum to 1 within
+    1e-10, so every ensemble is a probability measure.  (A grid filter's
+    :class:`GridDensity` is the unnormalized Zakai measure until
+    :meth:`GridDensity.normalized` is called.)
+    """
 
     positions: np.ndarray
     log_weights: np.ndarray
-    normalized: bool
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -84,10 +94,14 @@ class ParticleEnsemble:
             raise ValueError("one log weight per particle required")
         if not np.all(np.isfinite(pos)):
             raise ValueError("particle positions must be finite")
-        if self.normalized:
-            _check_normalized(np.exp(lw))
+        _check_normalized(np.exp(lw))
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "log_weights", lw)
+
+    @classmethod
+    def uniform(cls, positions: np.ndarray) -> "ParticleEnsemble":
+        """Equally weighted particles at ``positions`` (one per leading row)."""
+        return cls(positions=positions, log_weights=_uniform_log_weights(len(positions)))
 
     @property
     def n(self) -> int:
@@ -202,9 +216,7 @@ def pf_init(law: InitialLaw, n_particles: int, rng: RngStream) -> ParticleEnsemb
     """I.i.d. draws from the initial law with uniform weights."""
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
-    positions = law.sample(n_particles, rng.generator())
-    lw = np.full(n_particles, -np.log(n_particles))
-    return ParticleEnsemble(positions=positions, log_weights=lw, normalized=True)
+    return ParticleEnsemble.uniform(law.sample(n_particles, rng.generator()))
 
 
 def _phi_values(x: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -216,22 +228,16 @@ def _phi_values(x: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.nd
 
 def pf_estimate(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) -> float:
     """Weighted mean sum_i w_i phi(x_i); phi maps (n, d) -> (n,)."""
-    if not ens.normalized:
-        raise ValueError("ensemble must be normalized")
     return float(ens.weights @ _phi_values(ens.positions, phi))
 
 
 def ess(ens: ParticleEnsemble) -> float:
     """Effective sample size 1 / sum w_i^2."""
-    if not ens.normalized:
-        raise ValueError("ensemble must be normalized")
     return float(1.0 / np.sum(ens.weights**2))
 
 
 def resample_systematic(ens: ParticleEnsemble, rng: RngStream) -> ParticleEnsemble:
     """Systematic resampling to uniform weights (one shared uniform offset)."""
-    if not ens.normalized:
-        raise ValueError("ensemble must be normalized")
     u0 = float(rng.generator().uniform())
     return _resample_with_offset(ens, u0)
 
@@ -248,9 +254,7 @@ def _resample_with_offset(
 ) -> ParticleEnsemble:
     """Systematic resampling to n_out (default ens.n) uniformly weighted atoms."""
     n_out = ens.n if n_out is None else n_out
-    idx = _systematic_indices(ens.weights, u0, n_out)
-    lw = np.full(n_out, -np.log(n_out))
-    return ParticleEnsemble(positions=ens.positions[idx], log_weights=lw, normalized=True)
+    return ParticleEnsemble.uniform(ens.positions[_systematic_indices(ens.weights, u0, n_out)])
 
 
 def _reweight(
@@ -266,13 +270,13 @@ def _reweight(
     ``run_particle_filter`` here, ``stochvol.heston_filter``).  ``x`` holds
     one particle per leading row, ``lw`` their normalized log weights and
     ``log_incr`` the log-likelihood increment.  The weights are
-    exponentiated once: they carry the normalized-sum check of a normalized
-    :class:`ParticleEnsemble` and give the ESS.  When ESS <
+    exponentiated once: they carry the sum-to-one check that every
+    :class:`ParticleEnsemble` makes and give the ESS.  When ESS <
     resample_threshold * N, systematic resampling with one
-    ``gen.uniform()`` offset replaces the particles by uniformly weighted
-    copies.  Returns ``(x, lw, w, ess)`` after the cycle, the same bits as
-    building a :class:`ParticleEnsemble` and calling ``ess`` and
-    ``_resample_with_offset`` on it.
+    ``gen.uniform()`` offset replaces the particles by copies with
+    ``_uniform_log_weights``.  Returns ``(x, lw, w, ess)`` after the cycle,
+    the same bits as building a :class:`ParticleEnsemble` and calling
+    ``ess`` and ``_resample_with_offset`` on it.
     """
     lw = _log_norm(lw + log_incr)
     w = np.exp(lw)
@@ -281,7 +285,7 @@ def _reweight(
     n_eff = 1.0 / (w**2).sum()
     if n_eff < resample_threshold * n:
         x = x[_systematic_indices(w, float(gen.uniform()), n)]
-        lw = np.full(n, -np.log(n))
+        lw = _uniform_log_weights(n)
         w = np.exp(lw)
         n_eff = 1.0 / (w**2).sum()
     return x, lw, w, n_eff
@@ -323,12 +327,11 @@ def pf_step(
     Mutation is an Euler step of the state model; the log-weight increment
     h(x).dY - |h(x)|^2 dt / 2 is the likelihood factor of the observed
     increment; renormalization is the Bayes step; systematic resampling
-    triggers when ESS < resample_threshold * N.  A wrapper over the array
-    cycle that :func:`run_particle_filter` drives directly: it builds only
-    the returned ensemble.
+    triggers when ESS < resample_threshold * N.  ``ens`` is normalized by
+    construction, and so is the returned ensemble.  A wrapper over the
+    array cycle that :func:`run_particle_filter` drives directly: it builds
+    only the returned ensemble.
     """
-    if not ens.normalized:
-        raise ValueError("ensemble must be normalized")
     if dt <= 0:
         raise ValueError("dt must be positive")
     dY = np.atleast_1d(np.asarray(dY, dtype=float))
@@ -336,7 +339,7 @@ def pf_step(
         model, obs, ens.positions, ens.log_weights, dY, dt,
         model.noise_dim(ens.positions[0]), rng.generator(), resample_threshold,
     )
-    return ParticleEnsemble(positions=x, log_weights=lw, normalized=True)
+    return ParticleEnsemble(positions=x, log_weights=lw)
 
 
 def run_particle_filter(
@@ -468,18 +471,18 @@ def zakai_grid_step(
     dens: GridDensity,
     dY: float,
     dt: float,
-    normalize: bool = False,
     max_floored_fraction: float = 1e-8,
 ) -> GridDensity:
     """Operator splitting: forward-Kolmogorov substep, then exp(h dY - h^2 dt / 2).
 
-    Raises if ``dt`` violates the explicit stability bound (the message
-    carries the admissible step) or if flooring negative values removes
-    more than ``max_floored_fraction`` of the total mass.
+    One step of the unnormalized Zakai measure; the conditional density is
+    ``zakai_grid_step(...).normalized()``.  Raises if ``dt`` violates the
+    explicit stability bound (the message carries the admissible step) or
+    if flooring negative values removes more than ``max_floored_fraction``
+    of the total mass.
     """
     advance = _grid_stepper(model, obs, dens.nodes, dt, max_floored_fraction)
-    out = GridDensity(dens.nodes, advance(dens.values, float(dY)))
-    return out.normalized() if normalize else out
+    return GridDensity(dens.nodes, advance(dens.values, float(dY)))
 
 
 def run_grid_filter(

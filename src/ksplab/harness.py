@@ -466,11 +466,7 @@ def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
 
     # point-mass reduction at constant variance: no Monte Carlo noise at all
     const_model = replace(model, kappa=0.0, gamma=0.0)
-    point = ParticleEnsemble(
-        positions=np.array([[model.x0], [model.x0]]),
-        log_weights=np.full(2, -np.log(2.0)),
-        normalized=True,
-    )
+    point = ParticleEnsemble.uniform(np.array([[model.x0], [model.x0]]))
     p_reduced = filtered_option_price(
         point, const_model, spec, spot, cfg["inner_paths"], RngStream(seed, STREAM_PRICING), inner_dt=inner_dt
     )
@@ -478,10 +474,7 @@ def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     reduction_err = abs(p_reduced - p_direct)
 
     # two-atom mixture with frozen variances
-    atoms = np.array([[0.01], [0.09]])
-    two = ParticleEnsemble(
-        positions=atoms, log_weights=np.full(2, -np.log(2.0)), normalized=True
-    )
+    two = ParticleEnsemble.uniform(np.array([[0.01], [0.09]]))
     p_mix = filtered_option_price(
         two,
         const_model,
@@ -499,11 +492,7 @@ def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     # Monte Carlo self-consistency under the full model from a prior ensemble
     gen = RngStream(seed, STREAM_PRICING).substream(2).generator()
     positions = np.abs(model.variance_prior().sample(cfg["n_particles"], gen))
-    prior = ParticleEnsemble(
-        positions=positions,
-        log_weights=np.full(cfg["n_particles"], -np.log(float(cfg["n_particles"]))),
-        normalized=True,
-    )
+    prior = ParticleEnsemble.uniform(positions)
     reps = np.array(
         [
             filtered_option_price(

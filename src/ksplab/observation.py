@@ -68,6 +68,8 @@ class ObservationPath:
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
         dv = np.asarray(self.increments, dtype=float)
+        if t.ndim != 1 or t.size < 2:
+            raise ValueError("times must be a 1-D vector with at least two points")
         if v.ndim != 2 or v.shape[0] != t.size:
             raise ValueError("values must be (n_times, dim_obs)")
         if np.any(v[0] != 0.0):

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .filters import FilterEstimate, ParticleEnsemble, _reweight
+from .filters import FilterEstimate, ParticleEnsemble, _reweight, _uniform_log_weights
 from .rng import RngStream
-from .sde import InitialLaw, SimulationDivergenceError
+from .sde import InitialLaw, SimulationDivergenceError, _n_steps
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ def simulate_heston(
     Two internal substreams of ``rng`` drive the variance and price noises
     so the pair is independent.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
-    n = int(np.ceil(horizon / dt - 1e-9))
+    n = _n_steps(horizon, dt)
     db = rng.substream(0).generator().standard_normal((n, 1)) * np.sqrt(dt)
     dw = rng.substream(1).generator().standard_normal((n, 1)) * np.sqrt(dt)
     x, y = _kernels.heston_paths(
@@ -244,8 +242,6 @@ def filtered_option_price(
     the quadrature sum and the mean over a particle's paths do the same
     arithmetic on each column whatever its neighbours are.
     """
-    if not ens.normalized:
-        raise ValueError("ensemble must be normalized")
     if ens.dim != 1:
         raise ValueError("variance ensembles are 1-D")
     if inner_paths < 2:
@@ -306,10 +302,12 @@ def heston_filter(
         raise ValueError("log_price must be a 1-D series with at least two points")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if n_particles < 2:
+        raise ValueError("need at least 2 particles")
 
     gen = rng.generator()
     x = model.variance_prior().sample(n_particles, gen)[:, 0]
-    lw = np.full(n_particles, -np.log(n_particles))
+    lw = _uniform_log_weights(n_particles)
 
     n = y.size
     mean_series = np.empty(n)
@@ -323,9 +321,7 @@ def heston_filter(
         m2_series[k] = np.dot(w, x**2)
         ess_series[k] = n_eff
         if k in wanted:
-            snapshots[k] = ParticleEnsemble(
-                positions=x[:, None].copy(), log_weights=lw.copy(), normalized=True
-            )
+            snapshots[k] = ParticleEnsemble(positions=x[:, None].copy(), log_weights=lw.copy())
 
     w = np.exp(lw)
     record(0, x, lw, w, 1.0 / np.sum(w**2))

@@ -1,7 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 from ksplab import DiffusionModel, InitialLaw, ObservationModel, constant_diffusion
+
+# The CLI tests start `python -m ksplab` in a fresh interpreter: give it the
+# checkout's sources, as pyproject's `pythonpath` gives them to pytest.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def brownian_motion(x0=0.0):

@@ -355,7 +355,7 @@ class TestCriterion09FilteredPricing:
         model = HestonModel(kappa=0.0, m=0.04, gamma=0.0, mu=0.0, x0=0.04, s0=100.0)
         spec = CallSpec(strike=100.0, maturity=1.0)
         ens = ParticleEnsemble(
-            positions=np.full((2, 1), 0.04), log_weights=np.full(2, -math.log(2.0)), normalized=True
+            positions=np.full((2, 1), 0.04), log_weights=np.full(2, -math.log(2.0))
         )
         price = filtered_option_price(ens, model, spec, 100.0, 8, RngStream(SEED, 50))
         gap = abs(price - bs_call_price(100.0, spec, 0.04))

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from ksplab import (
     GaussianBelief,
@@ -48,6 +49,13 @@ def test_observation_round_trip_bit_exact(tmp_path):
     observation_to_csv(back, f2)
     assert f.read_bytes() == f2.read_bytes()
     assert np.max(np.abs(np.cumsum(back.increments, axis=0) - back.values[1:])) <= 1e-12
+
+
+def test_one_row_observation_rejected(tmp_path):
+    f = tmp_path / "obs.csv"
+    f.write_text("t,y_1\n0.0,0.0\n")
+    with pytest.raises(ValueError, match="at least two points"):
+        observation_from_csv(f)
 
 
 def test_lf_line_endings(tmp_path):

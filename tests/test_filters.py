@@ -56,7 +56,6 @@ def two_particles(positions, weights):
     return ParticleEnsemble(
         positions=np.asarray(positions, dtype=float).reshape(-1, 1),
         log_weights=np.log(np.asarray(weights, dtype=float)),
-        normalized=True,
     )
 
 
@@ -108,7 +107,7 @@ class TestPfEstimateAndEss:
     def test_ess_one_hot(self):
         lw = np.full(10, -np.inf)
         lw[3] = 0.0
-        ens = ParticleEnsemble(positions=np.zeros((10, 1)), log_weights=lw, normalized=True)
+        ens = ParticleEnsemble(positions=np.zeros((10, 1)), log_weights=lw)
         assert abs(ess(ens) - 1.0) < 1e-12
 
     def test_ess_three_quarters(self):
@@ -119,7 +118,7 @@ class TestPfEstimateAndEss:
         ens = pf_init(InitialLaw.gaussian([0.0], [[1.0]]), 1000, RngStream(5))
         perm = RngStream(6).generator().permutation(1000)
         permuted = ParticleEnsemble(
-            positions=ens.positions[perm], log_weights=ens.log_weights[perm], normalized=True
+            positions=ens.positions[perm], log_weights=ens.log_weights[perm]
         )
         for phi in (lambda x: x[:, 0], lambda x: x[:, 0] ** 2):
             assert abs(pf_estimate(ens, phi) - pf_estimate(permuted, phi)) < 1e-12
@@ -142,7 +141,7 @@ class TestResampling:
         weights = np.full(10, 1e-300)
         weights[:3] = [0.5, 0.3, 0.2]
         ens = ParticleEnsemble(
-            positions=positions, log_weights=np.log(weights), normalized=True
+            positions=positions, log_weights=np.log(weights)
         )
         for seed in range(5):
             out = resample_systematic(ens, RngStream(seed))
@@ -165,7 +164,6 @@ class TestPfStep:
         ens = ParticleEnsemble(
             positions=np.zeros((10, 1)),
             log_weights=np.log(np.linspace(1, 4, 10) / np.linspace(1, 4, 10).sum()),
-            normalized=True,
         )
         out = pf_step(model, constant_sensor(0.0), ens, [0.3], 0.1, RngStream(3), resample_threshold=0.0)
         assert np.max(np.abs(out.weights - ens.weights)) < 1e-12
@@ -286,7 +284,7 @@ def parent_particle_filter(sm, om, obs, n_particles, rng, phis, resample_thresho
         lw = ens.log_weights + log_incr
         m = np.max(lw)
         lw = lw - (np.log(np.sum(np.exp(lw - m))) + m)
-        ens = ParticleEnsemble(positions=positions, log_weights=lw, normalized=True)
+        ens = ParticleEnsemble(positions=positions, log_weights=lw)
         if ess(ens) < resample_threshold * ens.n:
             cw = np.cumsum(ens.weights)
             cw[-1] = 1.0
@@ -294,7 +292,6 @@ def parent_particle_filter(sm, om, obs, n_particles, rng, phis, resample_thresho
             ens = ParticleEnsemble(
                 positions=ens.positions[idx],
                 log_weights=np.full(ens.n, -np.log(ens.n)),
-                normalized=True,
             )
         record(k + 1, ens)
     return moments, ess_series
@@ -544,8 +541,6 @@ class TestPreparedGridStepper:
         expected = p * np.exp(h * 0.03 - 0.5 * h * h * dt)
         out = zakai_grid_step(sm, om, dens, 0.03, dt)
         assert np.array_equal(out.values, expected)
-        normed = zakai_grid_step(sm, om, dens, 0.03, dt, normalize=True)
-        assert np.array_equal(normed.values, GridDensity(dens.nodes, expected).normalized().values)
 
 
 def drift_against_weak_diffusion():
@@ -663,8 +658,28 @@ class TestNonFiniteRejected:
             ParticleEnsemble(
                 positions=np.zeros((3, 1)),
                 log_weights=np.array([np.log(0.5), np.log(0.5), np.nan]),
-                normalized=True,
             )
+
+
+class TestEnsembleAlwaysNormalized:
+    @pytest.mark.parametrize("n", [2, 10])
+    def test_unnormalized_weights_rejected(self, n):
+        with pytest.raises(ValueError, match="normalized weights sum"):
+            ParticleEnsemble(positions=np.zeros((n, 1)), log_weights=np.zeros(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 200, 10_000])
+    def test_uniform_equals_hand_built_weights(self, n):
+        # the hand-written forms that ParticleEnsemble.uniform replaced
+        positions = RngStream(40, n).generator().standard_normal((n, 1))
+        ens = ParticleEnsemble.uniform(positions)
+        assert np.array_equal(ens.positions, positions)
+        for lw in (
+            np.full(n, -np.log(n)),
+            np.full(n, -np.log(float(n))),
+            np.full(n, -math.log(n)),
+        ):
+            assert np.array_equal(ens.log_weights, lw)
+        assert np.array_equal(ens.weights, np.exp(np.full(n, -np.log(n))))
 
 
 class TestKspResidual:

@@ -80,6 +80,12 @@ class TestSimulateObservation:
         with pytest.raises(ValueError):
             simulate_observation(bad, path, RngStream(0))
 
+    def test_single_time_rejected(self):
+        with pytest.raises(ValueError, match="at least two points"):
+            ObservationPath(
+                times=np.array([0.0]), values=np.zeros((1, 1)), increments=np.zeros((0, 1))
+            )
+
     def test_inconsistent_increments_rejected(self):
         with pytest.raises(ValueError):
             ObservationPath(

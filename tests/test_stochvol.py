@@ -30,7 +30,6 @@ def point_ensemble(x0, n=2):
     return ParticleEnsemble(
         positions=np.full((n, 1), float(x0)),
         log_weights=np.full(n, -math.log(n)),
-        normalized=True,
     )
 
 
@@ -64,6 +63,15 @@ class TestSimulateHeston:
         a = simulate_heston(model, 0.3, 1e-4, RngStream(4, 2))
         b = simulate_heston(model, 0.3, 1e-4, RngStream(4, 2))
         assert np.array_equal(a.log_price, b.log_price)
+
+    def test_dt_beyond_horizon_rejected(self):
+        model = default_heston()
+        with pytest.raises(ValueError, match="require 0 < dt <= horizon"):
+            simulate_heston(model, 0.5, 1.0, RngStream(0))
+        with pytest.raises(ValueError, match="require 0 < dt <= horizon"):
+            simulate_heston(model, 0.5, 0.0, RngStream(0))
+        with pytest.raises(ValueError, match="horizon must be positive"):
+            simulate_heston(model, 0.0, 1e-3, RngStream(0))
 
     def test_ito_drift_regression_slope(self):
         # regress dY on (mu - X/2) dt: slope 1 within 3 standard errors
@@ -217,7 +225,6 @@ class TestFilteredOptionPrice:
         ens = ParticleEnsemble(
             positions=np.array([[0.01], [0.09]]),
             log_weights=np.full(2, -math.log(2.0)),
-            normalized=True,
         )
         price = filtered_option_price(ens, model, spec, 100.0, 8, RngStream(12))
         direct = 0.5 * (bs_call_price(100.0, spec, 0.01) + bs_call_price(100.0, spec, 0.09))
@@ -229,7 +236,7 @@ class TestFilteredOptionPrice:
         law = InitialLaw.gaussian([0.04], [[0.0001]])
         positions = np.abs(law.sample(100, RngStream(13).generator()))
         ens = ParticleEnsemble(
-            positions=positions, log_weights=np.full(100, -math.log(100.0)), normalized=True
+            positions=positions, log_weights=np.full(100, -math.log(100.0))
         )
         reps = [
             filtered_option_price(ens, model, spec, 100.0, 32, RngStream(14, r), inner_dt=5e-3)
@@ -291,7 +298,7 @@ class TestBatchedInnerMonteCarlo:
         gen = RngStream(21, n).generator()
         positions = gen.uniform(0.0, 0.12, (n, 1))
         w = gen.uniform(0.1, 1.0, n)
-        ens = ParticleEnsemble(positions=positions, log_weights=np.log(w / w.sum()), normalized=True)
+        ens = ParticleEnsemble(positions=positions, log_weights=np.log(w / w.sum()))
         args = (ens, model, spec, 101.0, inner_paths, RngStream(22, n))
         kwargs = dict(t_now=t_now, inner_dt=inner_dt)
         assert filtered_option_price(*args, **kwargs) == per_particle_price(*args, **kwargs)
@@ -337,6 +344,13 @@ class TestHestonFilter:
         floor = 0.5 * model.gamma**2 * est.moments["x"] * dt
         assert np.all(post_var[1:] >= floor[1:])
 
+    @pytest.mark.parametrize("n_particles", [0, 1])
+    def test_fewer_than_two_particles_rejected(self, n_particles):
+        model = default_heston()
+        paths = simulate_heston(model, 0.01, 1e-3, RngStream(25, 1))
+        with pytest.raises(ValueError, match="need at least 2 particles"):
+            heston_filter(model, paths.log_price, 1e-3, n_particles, RngStream(25, 2))
+
     def test_snapshots_are_posteriors(self):
         model = default_heston()
         paths = simulate_heston(model, 0.1, 1e-3, RngStream(23, 1))
@@ -380,7 +394,7 @@ def parent_heston_filter(model, log_price, dt, n_particles, rng, resample_thresh
         m = np.max(lw)
         lw = lw - (np.log(np.sum(np.exp(lw - m))) + m)
         if 1.0 / np.sum(np.exp(lw) ** 2) < resample_threshold * n_particles:
-            ens = ParticleEnsemble(positions=x[:, None], log_weights=lw, normalized=True)
+            ens = ParticleEnsemble(positions=x[:, None], log_weights=lw)
             cw = np.cumsum(ens.weights)
             cw[-1] = 1.0
             idx = _kernels.resample_indices(cw, float(gen.uniform()), ens.n)
