@@ -31,7 +31,8 @@ def read_csv(path) -> tuple[list[str], np.ndarray]:
     with open(path, "r", newline="\n") as fh:
         header = fh.readline().rstrip("\n").split(",")
         data = [[float(v) for v in line.rstrip("\n").split(",")] for line in fh if line.strip()]
-    return header, np.asarray(data, dtype=float)
+    # a header-only file is an empty table of the header's width, not a 1-D []
+    return header, np.asarray(data, dtype=float) if data else np.empty((0, len(header)))
 
 
 def path_to_csv(path_obj: SamplePath, path) -> None:

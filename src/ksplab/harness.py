@@ -1,11 +1,14 @@
 """Scenario runners: seeded experiments, CSV emission, cross-method reports.
 
-Each runner consumes a validated :class:`~ksplab.config.ExperimentConfig`,
-writes its data files into the output directory, and returns a report
-carrying pass/fail checks.  The frame :func:`_scenario` writes the files
-every scenario shares: ``manifest.json``, ``summary.csv`` (the report's
-metrics) and ``timing.json`` (wall-clock ``total`` plus the report's
-splits), the one file excluded from the byte-identity guarantee.  All
+Each runner consumes a validated :class:`~ksplab.config.ExperimentConfig`
+and returns a report carrying pass/fail checks.  The frame
+:func:`_scenario` owns that report: it builds it and hands it to the
+scenario's body, which writes its data files and fills in the checks, the
+metrics and the wall time of each layer it wraps in ``report.timed``.  The
+frame then writes the files every scenario shares: ``manifest.json``,
+``summary.csv`` (the report's metrics) and ``timing.json`` (wall-clock
+``total`` plus the layer splits), the one file excluded from the
+byte-identity guarantee.  All
 randomness derives from the master seed through fixed labeled stream
 offsets, so adding a scenario never perturbs existing ones and reruns with
 an equal manifest produce byte-identical data files.
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -93,6 +97,16 @@ class ScenarioReport:
     checks: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     runtime: dict = field(default_factory=dict)  # wall-clock splits for timing.json
+    # linear_compare's particle ESS summary; perfbench's worker reads it
+    # through getattr for its filters.ess_mean_frac metric
+    ess_stats: dict = field(default_factory=dict)
+
+    @contextmanager
+    def timed(self, name: str):
+        """Store the wall time of the ``with`` block in ``runtime[name]``."""
+        t0 = time.perf_counter()
+        yield
+        self.runtime[name] = time.perf_counter() - t0
 
     def add(self, name: str, passed: bool, detail: str) -> None:
         self.checks.append(Check(name, bool(passed), detail))
@@ -105,16 +119,6 @@ class ScenarioReport:
         return next((c for c in self.checks if not c.passed), None)
 
 
-@dataclass
-class ComparisonReport(ScenarioReport):
-    """Linear-compare report: per-method series, RMSEs, ESS stats."""
-
-    times: np.ndarray | None = None
-    series: dict = field(default_factory=dict)
-    rmse: dict = field(default_factory=dict)
-    ess_stats: dict = field(default_factory=dict)
-
-
 def _write_json(path: str, obj) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -122,11 +126,12 @@ def _write_json(path: str, obj) -> None:
 
 
 def _scenario(body):
-    """Frame a runner ``body(cfg, out) -> report`` with the shared outputs.
+    """Frame a runner ``body(cfg, out, report)`` with the shared outputs.
 
-    Writes ``manifest.json`` before the body runs, then ``summary.csv`` from
+    Writes ``manifest.json``, then hands the body a fresh
+    :class:`ScenarioReport` to fill in, then writes ``summary.csv`` from
     ``report.metrics`` and ``timing.json`` as the body's wall-clock
-    ``total`` merged with ``report.runtime``.
+    ``total`` merged with ``report.runtime``, and returns the report.
     """
 
     @functools.wraps(body)
@@ -141,8 +146,9 @@ def _scenario(body):
             "backend": BACKEND,
         }
         _write_json(os.path.join(out, "manifest.json"), manifest)
+        report = ScenarioReport(scenario=cfg.scenario)
         t_start = time.perf_counter()
-        report = body(cfg, out)
+        body(cfg, out, report)
         metrics = report.metrics
         write_csv(os.path.join(out, "summary.csv"), list(metrics), [list(metrics.values())])
         timing = {"total": time.perf_counter() - t_start, **report.runtime}
@@ -165,9 +171,8 @@ def _run_with_collapse_recovery(run, n_particles: int):
 
 
 @_scenario
-def run_linear_compare(cfg: ExperimentConfig, out: str) -> ComparisonReport:
+def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
     """Kalman-Bucy oracle vs particle and grid filters on one shared record."""
-    report = ComparisonReport(scenario=cfg.scenario)
     seed = cfg.seed
 
     model = LinearModel(
@@ -177,41 +182,36 @@ def run_linear_compare(cfg: ExperimentConfig, out: str) -> ComparisonReport:
     state_model = model.as_diffusion_model(law)
     obs_model = model.as_observation_model()
 
-    t0 = time.perf_counter()
-    truth = simulate_path(state_model, cfg["horizon"], cfg["dt"], RngStream(seed, STREAM_TRUTH))
-    obs = simulate_observation(obs_model, truth, RngStream(seed, STREAM_OBS))
-    sim_time = time.perf_counter() - t0
+    with report.timed("simulate"):
+        truth = simulate_path(state_model, cfg["horizon"], cfg["dt"], RngStream(seed, STREAM_TRUTH))
+        obs = simulate_observation(obs_model, truth, RngStream(seed, STREAM_OBS))
 
-    t0 = time.perf_counter()
-    beliefs = run_kalman(model, obs, GaussianBelief(mean=law.params["mean"], cov=law.params["cov"]))
-    kal_time = time.perf_counter() - t0
+    prior = GaussianBelief(mean=law.params["mean"], cov=law.params["cov"])
+    with report.timed("kalman"):
+        beliefs = run_kalman(model, obs, prior)
     kal_mean = np.array([b.mean[0] for b in beliefs])
     kal_var = np.array([b.cov[0, 0] for b in beliefs])
 
     phi = (lambda x: x[..., 0], lambda x: np.ones_like(x), lambda x: np.zeros(x.shape + (1,)))
-    t0 = time.perf_counter()
-    pf, n_used = _run_with_collapse_recovery(
-        lambda n: run_particle_filter(
-            state_model,
-            obs_model,
-            obs,
-            n,
-            RngStream(seed, STREAM_PF),
-            ksp_phi=phi,
-            resample_threshold=cfg["resample_threshold"],
-        ),
-        cfg["n_particles"],
-    )
-    pf_time = time.perf_counter() - t0
+    with report.timed("particle"):
+        pf, n_used = _run_with_collapse_recovery(
+            lambda n: run_particle_filter(
+                state_model,
+                obs_model,
+                obs,
+                n,
+                RngStream(seed, STREAM_PF),
+                ksp_phi=phi,
+                resample_threshold=cfg["resample_threshold"],
+            ),
+            cfg["n_particles"],
+        )
     pf_mean = pf.moments["x"]
     pf_var = pf.moments["x2"] - pf_mean**2
     pf_gain = pf.moments["phi_h"] - pf.moments["phi"] * pf.moments["h"]
 
-    t0 = time.perf_counter()
-    grid = run_grid_filter(
-        state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"]
-    )
-    grid_time = time.perf_counter() - t0
+    with report.timed("grid"):
+        grid = run_grid_filter(state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"])
     grid_mean = grid.moments["x"]
     grid_var = grid.moments["x2"] - grid_mean**2
 
@@ -228,25 +228,7 @@ def run_linear_compare(cfg: ExperimentConfig, out: str) -> ComparisonReport:
         np.mean(np.abs(pf_gain[burn:] - kal_gain[burn:]) / np.abs(kal_gain[burn:]))
     )
 
-    report.times = obs.times
-    report.series = {
-        "kalman_mean": kal_mean,
-        "kalman_var": kal_var,
-        "pf_mean": pf_mean,
-        "pf_var": pf_var,
-        "grid_mean": grid_mean,
-        "grid_var": grid_var,
-        "pf_gain": pf_gain,
-        "kalman_gain": kal_gain,
-    }
-    report.rmse = {"pf_mean": rmse_pf, "grid_mean": rmse_grid}
     report.ess_stats = {"min": float(np.min(pf.ess)), "mean": float(np.mean(pf.ess))}
-    report.runtime = {
-        "simulate": sim_time,
-        "kalman": kal_time,
-        "particle": pf_time,
-        "grid": grid_time,
-    }
     report.metrics = {
         "rmse_pf_mean": rmse_pf,
         "rmse_grid_mean": rmse_grid,
@@ -274,12 +256,21 @@ def run_linear_compare(cfg: ExperimentConfig, out: str) -> ComparisonReport:
     beliefs_to_csv(obs.times, beliefs, os.path.join(out, "kalman.csv"))
     estimates_to_csv(pf, os.path.join(out, "pf_estimates.csv"))
     estimates_to_csv(grid, os.path.join(out, "grid_estimates.csv"))
+    series = {
+        "kalman_mean": kal_mean,
+        "kalman_var": kal_var,
+        "pf_mean": pf_mean,
+        "pf_var": pf_var,
+        "grid_mean": grid_mean,
+        "grid_var": grid_var,
+        "pf_gain": pf_gain,
+        "kalman_gain": kal_gain,
+    }
     write_csv(
         os.path.join(out, "report.csv"),
-        ["t"] + list(report.series),
-        np.column_stack([obs.times] + [report.series[k] for k in report.series]),
+        ["t"] + list(series),
+        np.column_stack([obs.times] + list(series.values())),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +278,15 @@ def run_linear_compare(cfg: ExperimentConfig, out: str) -> ComparisonReport:
 
 
 @_scenario
-def run_master_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
+def run_master_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
     """Transition-kernel semigroup, gain-loss ODE, and stationarity checks."""
-    report = ScenarioReport(scenario=cfg.scenario)
-
     W = rate_matrix_from_triplets(cfg["rates"])
     G = generator_from_rates(W)
     tau_a, tau_b = cfg["tau_a"], cfg["tau_b"]
-    Qa, Qb = evolve_kernel(G, tau_a).Q, evolve_kernel(G, tau_b).Q
-    Qab = evolve_kernel(G, tau_a + tau_b).Q
+    # the first evolve_kernel call pays the one-time scipy import
+    with report.timed("kernels"):
+        Qa, Qb = evolve_kernel(G, tau_a).Q, evolve_kernel(G, tau_b).Q
+        Qab = evolve_kernel(G, tau_a + tau_b).Q
     ck_residual = float(np.max(np.abs(Qab - Qb @ Qa)))
 
     pi = stationary_distribution(W)
@@ -310,13 +301,15 @@ def run_master_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
     p[0] = 1.0
     max_drift = 0.0
     min_entry = 0.0
-    for _ in range(n_steps):
-        p = p + (p @ G) * dtau
-        min_entry = min(min_entry, float(p.min()))
-        p = np.maximum(p, 0.0)
-        max_drift = max(max_drift, abs(float(p.sum()) - 1.0))
+    with report.timed("ode"):
+        for _ in range(n_steps):
+            p = p + (p @ G) * dtau
+            min_entry = min(min_entry, float(p.min()))
+            p = np.maximum(p, 0.0)
+            max_drift = max(max_drift, abs(float(p.sum()) - 1.0))
 
-    taylor = taylor_kernel_check(W, [1e-1, 1e-2, 1e-3])
+    with report.timed("taylor"):
+        taylor = taylor_kernel_check(W, [1e-1, 1e-2, 1e-3])
 
     report.metrics = {
         "ck_residual": ck_residual,
@@ -345,7 +338,6 @@ def run_master_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
         ["tau", "error"],
         np.column_stack([taylor.taus, taylor.errors]),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -361,34 +353,33 @@ def _heston_scenario_objects(cfg: ExperimentConfig):
 
 
 @_scenario
-def run_heston_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
+def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
     """Latent-variance tracking: simulation, QV recovery, filtering, pricing."""
-    report = ScenarioReport(scenario=cfg.scenario)
     seed = cfg.seed
     model, spec = _heston_scenario_objects(cfg)
 
-    paths = simulate_heston(model, cfg["horizon"], cfg["dt"], RngStream(seed, STREAM_HESTON))
-    qv = realized_qv(paths.log_price)
-    recovery = vol_recovery(qv, cfg["window"], cfg["dt"])
+    with report.timed("simulate"):
+        paths = simulate_heston(model, cfg["horizon"], cfg["dt"], RngStream(seed, STREAM_HESTON))
+    with report.timed("recovery"):
+        recovery = vol_recovery(realized_qv(paths.log_price), cfg["window"], cfg["dt"])
 
     stride = cfg["filter_stride"]
     y_coarse = paths.log_price[::stride]
     dt_coarse = cfg["dt"] * stride
     n_coarse = y_coarse.size
-    price_idx = np.unique(
-        np.linspace(0, n_coarse - 1, cfg["n_price_times"], dtype=int)
-    )
-    (est, snapshots), n_used = _run_with_collapse_recovery(
-        lambda n: heston_filter(
-            model,
-            y_coarse,
-            dt_coarse,
-            n,
-            RngStream(seed, STREAM_FILTER),
-            snapshot_indices=price_idx,
-        ),
-        cfg["n_particles"],
-    )
+    price_idx = np.unique(np.linspace(0, n_coarse - 1, cfg["n_price_times"], dtype=int))
+    with report.timed("filter"):
+        (est, snapshots), n_used = _run_with_collapse_recovery(
+            lambda n: heston_filter(
+                model,
+                y_coarse,
+                dt_coarse,
+                n,
+                RngStream(seed, STREAM_FILTER),
+                snapshot_indices=price_idx,
+            ),
+            cfg["n_particles"],
+        )
 
     truth_coarse = paths.variance[::stride]
     recovery_coarse = recovery[::stride]
@@ -428,27 +419,27 @@ def run_heston_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
         report.add("filter_vs_ode_within_1pct", ode_err <= 0.01, f"rel_err={ode_err:.5f}")
 
     prices = np.full(n_coarse, np.nan)
-    if spec.maturity > cfg["horizon"]:
-        pricing_base = RngStream(seed, STREAM_PRICING)
-        for k in price_idx:
-            u0 = float(pricing_base.substream(2 * int(k)).generator().uniform())
-            ens = _resample_with_offset(snapshots[k], u0, min(200, n_used))
-            prices[k] = filtered_option_price(
-                ens,
-                model,
-                spec,
-                spot=float(paths.price[k * stride]),
-                inner_paths=cfg["inner_paths"],
-                rng=pricing_base.substream(2 * int(k) + 1),
-                t_now=float(est.times[k]),
-            )
+    with report.timed("pricing"):
+        if spec.maturity > cfg["horizon"]:
+            pricing_base = RngStream(seed, STREAM_PRICING)
+            for k in price_idx:
+                u0 = float(pricing_base.substream(2 * int(k)).generator().uniform())
+                ens = _resample_with_offset(snapshots[k], u0, min(200, n_used))
+                prices[k] = filtered_option_price(
+                    ens,
+                    model,
+                    spec,
+                    spot=float(paths.price[k * stride]),
+                    inner_paths=cfg["inner_paths"],
+                    rng=pricing_base.substream(2 * int(k) + 1),
+                    t_now=float(est.times[k]),
+                )
 
     write_csv(
         os.path.join(out, "stochvol.csv"),
         ["t", "x_true", "x_post_mean", "x_post_var", "qv_recovery", "option_price"],
         np.column_stack([est.times, truth_coarse, post_mean, post_var, recovery_coarse, prices]),
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -456,56 +447,36 @@ def run_heston_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
 
 
 @_scenario
-def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
+def run_pricing_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
     """Filtered pricing reductions and Monte Carlo self-consistency."""
-    report = ScenarioReport(scenario=cfg.scenario)
-    seed = cfg.seed
     model, spec = _heston_scenario_objects(cfg)
     spot = cfg["s0"]
-    inner_dt = cfg["inner_dt"]
+    base = RngStream(cfg.seed, STREAM_PRICING)
 
-    # point-mass reduction at constant variance: no Monte Carlo noise at all
-    const_model = replace(model, kappa=0.0, gamma=0.0)
-    point = ParticleEnsemble.uniform(np.array([[model.x0], [model.x0]]))
-    p_reduced = filtered_option_price(
-        point, const_model, spec, spot, cfg["inner_paths"], RngStream(seed, STREAM_PRICING), inner_dt=inner_dt
-    )
+    def price(ens, mdl, rng, inner_paths=cfg["inner_paths"]):
+        return filtered_option_price(
+            ens, mdl, spec, spot, inner_paths, rng, inner_dt=cfg["inner_dt"]
+        )
+
+    with report.timed("reductions"):
+        # point-mass reduction at constant variance: no Monte Carlo noise at all
+        const_model = replace(model, kappa=0.0, gamma=0.0)
+        point = ParticleEnsemble.uniform(np.array([[model.x0], [model.x0]]))
+        p_reduced = price(point, const_model, base)
+        # two-atom mixture with frozen variances
+        two = ParticleEnsemble.uniform(np.array([[0.01], [0.09]]))
+        p_mix = price(two, const_model, base.substream(1))
     p_direct = bs_call_price(spot, spec, model.x0)
     reduction_err = abs(p_reduced - p_direct)
-
-    # two-atom mixture with frozen variances
-    two = ParticleEnsemble.uniform(np.array([[0.01], [0.09]]))
-    p_mix = filtered_option_price(
-        two,
-        const_model,
-        spec,
-        spot,
-        cfg["inner_paths"],
-        RngStream(seed, STREAM_PRICING).substream(1),
-        inner_dt=inner_dt,
-    )
-    p_mix_direct = 0.5 * (
-        bs_call_price(spot, spec, 0.01) + bs_call_price(spot, spec, 0.09)
-    )
+    p_mix_direct = 0.5 * (bs_call_price(spot, spec, 0.01) + bs_call_price(spot, spec, 0.09))
     mixture_err = abs(p_mix - p_mix_direct)
 
     # Monte Carlo self-consistency under the full model from a prior ensemble
-    gen = RngStream(seed, STREAM_PRICING).substream(2).generator()
-    positions = np.abs(model.variance_prior().sample(cfg["n_particles"], gen))
-    prior = ParticleEnsemble.uniform(positions)
-    reps = np.array(
-        [
-            filtered_option_price(
-                prior, model, spec, spot, cfg["inner_paths"],
-                RngStream(seed, STREAM_PRICING).substream(3 + r), inner_dt=inner_dt,
-            )
-            for r in range(8)
-        ]
-    )
-    p_double = filtered_option_price(
-        prior, model, spec, spot, 2 * cfg["inner_paths"],
-        RngStream(seed, STREAM_PRICING).substream(11), inner_dt=inner_dt,
-    )
+    gen = base.substream(2).generator()
+    prior = ParticleEnsemble.uniform(np.abs(model.variance_prior().sample(cfg["n_particles"], gen)))
+    with report.timed("replicates"):
+        reps = np.array([price(prior, model, base.substream(3 + r)) for r in range(8)])
+        p_double = price(prior, model, base.substream(11), inner_paths=2 * cfg["inner_paths"])
     # error of the difference: one estimate at n inner paths, one at 2n
     stderr = float(np.std(reps, ddof=1)) * math.sqrt(1.0 + 0.5)
     mc_gap = abs(p_double - float(np.mean(reps)))
@@ -527,7 +498,6 @@ def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
         mc_gap <= 2.0 * max(stderr, 1e-12),
         f"gap={mc_gap:.2e}, stderr={stderr:.2e}",
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +505,8 @@ def run_pricing_demo(cfg: ExperimentConfig, out: str) -> ScenarioReport:
 
 
 @_scenario
-def run_novikov_check(cfg: ExperimentConfig, out: str) -> ScenarioReport:
+def run_novikov_check(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
     """Exponential-moment estimates for the three standard sensors."""
-    report = ScenarioReport(scenario=cfg.scenario)
-    seed = cfg.seed
     horizon, dt, n_paths = cfg["horizon"], cfg["dt"], cfg["n_paths"]
     c = cfg["h_const"]
     theta = cfg["ou_theta"]
@@ -566,9 +534,11 @@ def run_novikov_check(cfg: ExperimentConfig, out: str) -> ScenarioReport:
         ("h_const", const_h, bm, math.exp(0.5 * c * c * horizon)),
         ("h_linear_ou", linear_h, ou, None),
     ]
+    base = RngStream(cfg.seed, STREAM_NOVIKOV)
     rows = []
     for i, (name, h, mdl, expected) in enumerate(cases):
-        rep = check_novikov(h, mdl, horizon, n_paths, RngStream(seed, STREAM_NOVIKOV).substream(i), dt=dt)
+        with report.timed(name):
+            rep = check_novikov(h, mdl, horizon, n_paths, base.substream(i), dt=dt)
         rows.append([rep.estimate, rep.stderr, 1.0 if rep.finite else 0.0])
         report.metrics[f"{name}_estimate"] = rep.estimate
         report.metrics[f"{name}_stderr"] = rep.stderr
@@ -582,7 +552,6 @@ def run_novikov_check(cfg: ExperimentConfig, out: str) -> ScenarioReport:
         fh.write("case,estimate,stderr,finite\n")
         for (name, _, _, _), row in zip(cases, rows):
             fh.write(f"{name},{row[0]!r},{row[1]!r},{row[2]!r}\n")
-    return report
 
 
 RUNNERS = {

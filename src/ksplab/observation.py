@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .rng import RngStream
-from .sde import DiffusionModel, SamplePath, _ensemble_states, _n_steps
+from .sde import DiffusionModel, SamplePath, _check_time_grid, _ensemble_states, _n_steps
 # Unused here since check_novikov streams the states; kept importable
 # because perfbench's tracer wraps ``ksplab.observation.simulate_ensemble``
 # and reports a target that stops resolving as absent.
@@ -58,7 +58,7 @@ class ObservationModel:
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Observation record on the state grid; increments are cached."""
+    """Observation record on a uniform grid from 0; increments are cached."""
 
     times: np.ndarray
     values: np.ndarray
@@ -68,8 +68,7 @@ class ObservationPath:
         t = np.asarray(self.times, dtype=float)
         v = np.asarray(self.values, dtype=float)
         dv = np.asarray(self.increments, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("times must be a 1-D vector with at least two points")
+        _check_time_grid(t)
         if v.ndim != 2 or v.shape[0] != t.size:
             raise ValueError("values must be (n_times, dim_obs)")
         if np.any(v[0] != 0.0):

@@ -162,6 +162,19 @@ class DiffusionModel:
                 raise ValueError("b(x) not positive semidefinite")
 
 
+def _check_time_grid(t: np.ndarray) -> None:
+    """Reject a record grid that one step ``dt = t[1] - t[0]`` does not walk."""
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("times must be a 1-D vector with at least two points")
+    if t[0] != 0.0:
+        raise ValueError("times must start at 0")
+    steps = np.diff(t)
+    if np.any(steps <= 0):
+        raise ValueError("times must be strictly increasing")
+    if np.max(np.abs(steps - steps[0])) > 1e-12 * max(steps[0], 1.0):
+        raise ValueError("time grid must be uniform")
+
+
 @dataclass(frozen=True)
 class SamplePath:
     """Discrete path on a uniform grid: times (n,), states (n, d)."""
@@ -172,15 +185,7 @@ class SamplePath:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         x = np.asarray(self.states, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("times must be a 1-D vector with at least two points")
-        if t[0] != 0.0:
-            raise ValueError("times must start at 0")
-        steps = np.diff(t)
-        if np.any(steps <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-12 * max(steps[0], 1.0):
-            raise ValueError("time grid must be uniform")
+        _check_time_grid(t)
         if x.ndim != 2 or x.shape[0] != t.size:
             raise ValueError("states must be (n_times, dim_state)")
         object.__setattr__(self, "times", t)

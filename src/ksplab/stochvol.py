@@ -250,6 +250,8 @@ def filtered_option_price(
     if tau <= 0:
         raise ValueError("maturity must lie after the valuation time")
     inner_dt = tau / 200 if inner_dt is None else inner_dt
+    if inner_dt <= 0:
+        raise ValueError("inner_dt must be positive")
     n_steps = int(np.ceil(tau / inner_dt - 1e-9))
     dt = tau / n_steps
 
@@ -295,7 +297,8 @@ def heston_filter(
     ensemble is built only for a requested snapshot.
 
     Returns the moment series; with ``snapshot_indices`` given, also a dict
-    mapping each requested time index to the posterior ensemble there.
+    mapping each requested time index, which must lie in
+    ``[0, len(log_price))``, to the posterior ensemble there.
     """
     y = np.asarray(log_price, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -304,16 +307,19 @@ def heston_filter(
         raise ValueError("dt must be positive")
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
+    n = y.size
+    wanted = set(int(i) for i in snapshot_indices) if snapshot_indices is not None else set()
+    outside = sorted(i for i in wanted if not 0 <= i < n)
+    if outside:
+        raise ValueError(f"snapshot_indices outside [0, {n}): {outside}")
 
     gen = rng.generator()
     x = model.variance_prior().sample(n_particles, gen)[:, 0]
     lw = _uniform_log_weights(n_particles)
 
-    n = y.size
     mean_series = np.empty(n)
     m2_series = np.empty(n)
     ess_series = np.empty(n)
-    wanted = set(int(i) for i in snapshot_indices) if snapshot_indices is not None else set()
     snapshots = {}
 
     def record(k, x, lw, w, n_eff):

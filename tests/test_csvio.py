@@ -58,6 +58,39 @@ def test_one_row_observation_rejected(tmp_path):
         observation_from_csv(f)
 
 
+def test_header_only_file_reads_as_empty_table(tmp_path):
+    f = tmp_path / "obs.csv"
+    f.write_text("t,y_1\n")
+    header, data = read_csv(f)
+    assert header == ["t", "y_1"]
+    assert data.shape == (0, 2)
+
+
+@pytest.mark.parametrize("reader, header", [(observation_from_csv, "t,y_1"), (path_from_csv, "t,x_1")])
+def test_header_only_file_rejected(tmp_path, reader, header):
+    f = tmp_path / "record.csv"
+    f.write_text(header + "\n")
+    with pytest.raises(ValueError, match="at least two points"):
+        reader(f)
+
+
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        ("0.0,0.1,0.5,0.6", "time grid must be uniform"),
+        ("0.0,0.2,0.1", "times must be strictly increasing"),
+        ("0.1,0.2,0.3", "times must start at 0"),
+    ],
+)
+def test_observation_on_unusable_grid_rejected(tmp_path, times, message):
+    # every filter steps by times[1] - times[0]; any other grid is refused
+    f = tmp_path / "obs.csv"
+    rows = [f"{t},{0.5 * k}" for k, t in enumerate(times.split(","))]
+    f.write_text("t,y_1\n" + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=message):
+        observation_from_csv(f)
+
+
 def test_lf_line_endings(tmp_path):
     state = simulate_path(ornstein_uhlenbeck(), 0.1, 0.01, RngStream(3))
     f = tmp_path / "path.csv"

@@ -86,6 +86,28 @@ class TestSimulateObservation:
                 times=np.array([0.0]), values=np.zeros((1, 1)), increments=np.zeros((0, 1))
             )
 
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([[0.0, 0.1, 0.2]], "1-D vector with at least two points"),
+            ([0.1, 0.2, 0.3], "times must start at 0"),
+            ([0.0, 0.2, 0.1], "times must be strictly increasing"),
+            ([0.0, 0.1, 0.5, 0.6], "time grid must be uniform"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: ObservationPath.from_increments(t, np.ones((np.size(t) - 1, 1))),
+            lambda t: SamplePath(times=t, states=np.zeros((np.size(t), 1))),
+        ],
+        ids=["observation", "sample"],
+    )
+    def test_unusable_time_grid_rejected(self, build, times, message):
+        # every filter and stepper walks the record by times[1] - times[0]
+        with pytest.raises(ValueError, match=message):
+            build(np.array(times))
+
     def test_inconsistent_increments_rejected(self):
         with pytest.raises(ValueError):
             ObservationPath(

@@ -247,6 +247,15 @@ class TestFilteredOptionPrice:
         se_diff = np.std(reps, ddof=1) * math.sqrt(1.0 + 0.5)
         assert abs(doubled - np.mean(reps)) <= 2 * se_diff
 
+    @pytest.mark.parametrize("inner_dt", [0.0, -0.01])
+    def test_nonpositive_inner_dt_rejected(self, inner_dt):
+        model = default_heston()
+        spec = CallSpec(strike=100.0, maturity=1.0)
+        with pytest.raises(ValueError, match="inner_dt must be positive"):
+            filtered_option_price(
+                point_ensemble(0.04), model, spec, 100.0, 8, RngStream(17), inner_dt=inner_dt
+            )
+
     def test_deterministic_given_stream(self):
         model = default_heston()
         spec = CallSpec(strike=100.0, maturity=1.0)
@@ -361,6 +370,14 @@ class TestHestonFilter:
         for k, ens in snaps.items():
             mean = float(ens.weights @ ens.positions[:, 0])
             assert abs(mean - est.moments["x"][k]) < 1e-12
+
+    def test_snapshot_indices_outside_record_rejected(self):
+        model = default_heston()
+        paths = simulate_heston(model, 0.01, 1e-3, RngStream(24, 1))
+        with pytest.raises(ValueError, match=r"outside \[0, 11\): \[-1, 500\]"):
+            heston_filter(
+                model, paths.log_price, 1e-3, 50, RngStream(24, 2), snapshot_indices=[3, 500, -1]
+            )
 
 
 def parent_heston_filter(model, log_price, dt, n_particles, rng, resample_threshold, snapshot_indices):
