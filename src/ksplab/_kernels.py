@@ -11,8 +11,9 @@ and a NaN variance propagates on both:
   Python floats (``_heston_column``): numpy's per-call overhead dominates a
   step over a handful of elements (one column of 1e5 steps: about 1.5 s as
   1-element arrays, 0.05 s as floats).
-- ``variance_step`` advances an (n,) variance array in place; inner pricing
-  (``heston_variance_sum``) and the Heston particle filter step with it.
+- ``variance_step`` advances a variance array in place; inner pricing
+  (``heston_variance_sum``, on a whole ensemble's paths at once) and the
+  Heston particle filter step with it.
 
 ``BACKEND`` names the implementation; it is always ``"numpy"`` and stamps
 each run's manifest.
@@ -79,11 +80,11 @@ def heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu):
 def variance_step(x, db, dt, kappa, m, gamma, xp, drift, vol):
     """One full-truncation Euler step of the variance, in place.
 
-    Updates the (n,) float array ``x`` to
+    Updates the float array ``x`` (any shape; ``db`` broadcasts to it) to
     ``x + kappa * (m - xp) * dt + gamma * sqrt(xp) * db`` with
     ``xp = max(x, 0)``, operation by operation as ``heston_paths`` does.
-    ``xp``, ``drift`` and ``vol`` are (n,) scratch rows; afterwards ``xp``
-    holds the truncated pre-step variance.
+    ``xp``, ``drift`` and ``vol`` are scratch shaped like ``x``; afterwards
+    ``xp`` holds the truncated pre-step variance.
     """
     np.maximum(x, 0.0, out=xp)
     np.sqrt(xp, out=vol)
@@ -96,30 +97,27 @@ def variance_step(x, db, dt, kappa, m, gamma, xp, drift, vol):
     x += vol
 
 
-def heston_variance_sum(x0, db, dt, kappa, m, gamma):
-    """Per-column sum of the truncated variance along ``heston_paths``.
+def heston_variance_sum(x, acc, db, dt, kappa, m, gamma, xp, drift, vol):
+    """Step the variance of ``heston_paths`` through ``db``, summing it in place.
 
     Steps only the variance of ``heston_paths`` (the log price never feeds
-    back into it) from the same x0, db, dt, kappa, m, gamma, and returns the
-    (n,) array of sum_{k < steps} max(X_k, 0), accumulated in step order,
-    ``acc += max(X_k, 0)``.  numpy sums a C-contiguous (steps, n) array along
-    axis 0 row by row in that same order, so for n >= 2 columns the result
-    equals ``np.sum(np.maximum(X[:-1], 0.0), axis=0)`` bit for bit (a single
+    back into it): each row ``db[k]`` (shaped like ``x``, already scaled by
+    sqrt(dt)) advances ``x`` by one ``variance_step``, and
+    ``acc += max(X_k, 0)`` adds the truncated pre-step variance, in step
+    order.  ``xp``, ``drift`` and ``vol`` are ``variance_step``'s scratch,
+    shaped like ``x``.  ``x`` and ``acc`` carry over between calls, so
+    stepping consecutive row slabs of ``db`` gives the bits of one call over
+    all of it.  Started from ``acc = 0``, a (steps, n) ``db`` leaves
+    ``acc = sum_{k < steps} max(X_k, 0)`` per column; numpy sums a
+    C-contiguous (steps, n) array along axis 0 row by row in that same
+    order, so for n >= 2 columns this equals
+    ``np.sum(np.maximum(X[:-1], 0.0), axis=0)`` bit for bit (a single
     column is summed pairwise by numpy and may differ in the last bits).
     Memory is O(n): no (steps+1, n) path matrix is kept.
     """
-    db = np.asarray(db, dtype=float)
-    n = db.shape[1]
-    x = np.empty(n)
-    x[...] = x0
-    acc = np.zeros(n)
-    xp = np.empty(n)
-    drift = np.empty(n)
-    vol = np.empty(n)
     for dbk in db:
         variance_step(x, dbk, dt, kappa, m, gamma, xp, drift, vol)
         acc += xp
-    return acc
 
 
 def fd_substep(p, a_nodes, b_nodes, dt, cell):

@@ -21,16 +21,28 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
+    table = np.asarray(rows, dtype=float)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        # a row of Python floats at a time: their repr is _fmt's, and no
+        # object copy of the whole table is held
+        fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
 def read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and data rows; every nonblank row must be as wide as the header."""
     with open(path, "r", newline="\n") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        data = [[float(v) for v in line.rstrip("\n").split(",")] for line in fh if line.strip()]
+        data = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            row = [float(v) for v in line.rstrip("\n").split(",")]
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}: line {lineno} has {len(row)} values, the header has {len(header)}"
+                )
+            data.append(row)
     # a header-only file is an empty table of the header's width, not a 1-D []
     return header, np.asarray(data, dtype=float) if data else np.empty((0, len(header)))
 

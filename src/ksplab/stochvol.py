@@ -176,42 +176,56 @@ def bs_call_price(spot: float, spec: CallSpec, mean_variance: float, t_now: floa
     return spot * _norm_cdf(d1) - spec.strike * discount * _norm_cdf(d2)
 
 
-# Kernel columns per inner Monte Carlo chunk.  The variance-only stepper keeps
-# O(columns) state, so a chunk's memory is its draw buffer, 8 x 1024 x n_steps
-# bytes (1.6 MB at 200 steps).  Wider chunks are slightly faster but cost
-# memory: on heston_demo, 4096 columns saved 5-8% of the run time and added
-# 4-5 MB to a 67 MB peak RSS, where 1024 kept the peak of 256 columns.
-_INNER_COLUMNS = 1024
+# Inner Monte Carlo memory.  A group of particles keeps its paths' state at
+# once, x, acc and variance_step's three scratch arrays: 40 bytes a column,
+# 0.66 MB at the cap, which holds heston_demo's 200 particles x 64 paths in one
+# group.  Time is drawn in slabs of rows, so the draw buffer holds at most
+# about _SLAB_VALUES values (0.8 MB), or one row, whatever the step count.
+_INNER_COLUMNS = 16_384
+_SLAB_VALUES = 102_400
 
 
 def simulate_variance_paths(
     model: HestonModel, x0: np.ndarray, n_paths: int, n_steps: int, dt: float,
     gens: list[np.random.Generator],
 ) -> np.ndarray:
-    """Summed antithetic variance paths for several starting values in one kernel call.
+    """Summed antithetic variance paths for several starting values, stepped as one array.
 
     Starting value ``x0[i]`` gets ``n_paths`` columns driven by its own
     generator ``gens[i]``: half a block of normals and its negation, cut to
-    ``n_paths``.  The blocks sit side by side in one draw buffer, filled in
-    place, so value i owns columns ``i*n_paths : (i+1)*n_paths``.
+    ``n_paths``.  The paths of all starting values advance together through
+    ``_kernels.heston_variance_sum``, one ``variance_step`` per time step on
+    every column, and time is drawn in slabs of a few rows: each slab,
+    ``gens[i]`` fills its part ``buf[i, 0]`` of one buffer shaped
+    ``(len(x0), 2, rows, half)`` in place, and one ``np.negative`` writes
+    every antithetic half ``buf[:, 1]``.  A generator's successive slabs are
+    the rows of the one ``(n_steps, half)`` block it would fill at once, so
+    the draws do not depend on the slab size.  An odd ``n_paths`` steps one
+    spare antithetic column per value, which is dropped.
 
-    Returns, per column, the sum over steps ``0..n_steps-1`` of the
-    truncated variance ``max(X_k, 0)`` (shape ``(len(x0) * n_paths,)``), from
-    ``_kernels.heston_variance_sum``; no path matrix is built.
+    Returns the ``(len(x0), n_paths)`` array of each column's sum over
+    steps ``0..n_steps-1`` of the truncated variance ``max(X_k, 0)``; no path
+    matrix is built.
     """
     half = (n_paths + 1) // 2
-    db = np.empty((n_steps, len(gens) * n_paths))
-    z = np.empty((n_steps, half))
+    shape = (len(gens), 2, half)
+    x = np.empty(shape)
+    x[...] = x0[:, None, None]
+    acc = np.zeros(shape)
+    scratch = [np.empty(shape) for _ in range(3)]
+    rows = max(1, min(n_steps, _SLAB_VALUES // x.size))
+    buf = np.empty((len(gens), 2, rows, half))
     sqrt_dt = math.sqrt(dt)
-    for i, gen in enumerate(gens):
-        gen.standard_normal(out=z)
-        z *= sqrt_dt
-        lo = i * n_paths
-        db[:, lo:lo + half] = z
-        np.negative(z[:, :n_paths - half], out=db[:, lo + half:lo + n_paths])
-    return _kernels.heston_variance_sum(
-        np.repeat(x0, n_paths), db, dt, model.kappa, model.m, model.gamma
-    )
+    for lo in range(0, n_steps, rows):
+        slab = buf[:, :, :min(rows, n_steps - lo)]
+        for i, gen in enumerate(gens):
+            gen.standard_normal(out=slab[i, 0])
+        slab[:, 0] *= sqrt_dt
+        np.negative(slab[:, 0], out=slab[:, 1])
+        _kernels.heston_variance_sum(
+            x, acc, np.moveaxis(slab, 2, 0), dt, model.kappa, model.m, model.gamma, *scratch
+        )
+    return acc.reshape(len(gens), 2 * half)[:, :n_paths]
 
 
 def filtered_option_price(
@@ -230,17 +244,21 @@ def filtered_option_price(
     antithetic inner Monte Carlo, plugged into the Black-Scholes formula,
     and averaged with the particle weights.
 
-    The inner Monte Carlo runs in chunks of ``max(1, 1024 // inner_paths)``
-    particles, one kernel call per chunk, so the chunk's draw buffer never
-    holds more than 1024 columns (or one particle's ``inner_paths``) of
-    ``n_steps`` values; the kernel returns each column's summed truncated
-    variance, ``acc``, and ``acc * dt / tau`` is the left-point average.
-    The result equals evaluating each particle on its own with
-    ``heston_paths`` and an axis-0 sum, bit for bit: particle i draws from
-    its own substream ``rng.substream(i)`` (so the result does not depend
-    on evaluation order or chunking), and the full-truncation Euler step,
-    the quadrature sum and the mean over a particle's paths do the same
-    arithmetic on each column whatever its neighbours are.
+    The inner Monte Carlo steps all particles' paths as one wide array: the
+    particles are split into groups of at most ``_INNER_COLUMNS`` columns
+    (one group when ``n * inner_paths`` fits, at least one particle each),
+    and ``simulate_variance_paths`` steps a group's columns together, one
+    kernel row per time step, drawing time in slabs of
+    ``_SLAB_VALUES // columns`` rows.  Memory is O(group columns) plus one
+    slab buffer, whatever the step count.  The kernel returns each column's
+    summed truncated variance, ``acc``, and ``acc * dt / tau`` is the
+    left-point average.  The result equals evaluating each particle on its
+    own with ``heston_paths`` and an axis-0 sum, bit for bit: particle i
+    draws from its own substream ``rng.substream(i)`` (so the result does
+    not depend on evaluation order, grouping or slab size), and the
+    full-truncation Euler step, the quadrature sum and the mean over a
+    particle's paths do the same arithmetic on each column whatever its
+    neighbours are.
     """
     if ens.dim != 1:
         raise ValueError("variance ensembles are 1-D")
@@ -256,15 +274,15 @@ def filtered_option_price(
     dt = tau / n_steps
 
     x0s = ens.positions[:, 0]
-    chunk = max(1, _INNER_COLUMNS // inner_paths)
+    # an odd path count steps one spare antithetic column per particle
+    group = max(1, _INNER_COLUMNS // (inner_paths + inner_paths % 2))
     zbar = np.empty(ens.n)
-    for lo in range(0, ens.n, chunk):
-        hi = min(lo + chunk, ens.n)
+    for lo in range(0, ens.n, group):
+        hi = min(lo + group, ens.n)
         gens = [rng.substream(i).generator() for i in range(lo, hi)]
         acc = simulate_variance_paths(model, x0s[lo:hi], inner_paths, n_steps, dt, gens)
         # left-point quadrature of the truncated variance over [t, T]
-        path_avg = acc * dt / tau
-        zbar[lo:hi] = path_avg.reshape(hi - lo, inner_paths).mean(axis=1)
+        zbar[lo:hi] = (acc * dt / tau).mean(axis=1)
     prices = np.array([bs_call_price(spot, spec, float(z), t_now) for z in zbar])
     return float(ens.weights @ prices)
 

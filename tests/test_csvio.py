@@ -18,6 +18,7 @@ from ksplab.csvio import (
     rate_matrix_from_csv,
     rate_matrix_to_csv,
     read_csv,
+    write_csv,
 )
 from ksplab.filters import FilterEstimate
 
@@ -55,6 +56,47 @@ def test_one_row_observation_rejected(tmp_path):
     f = tmp_path / "obs.csv"
     f.write_text("t,y_1\n0.0,0.0\n")
     with pytest.raises(ValueError, match="at least two points"):
+        observation_from_csv(f)
+
+
+def per_value_csv(header, rows):
+    """Reference: the text of the per-value formatter, repr(float(v)) one value
+    at a time."""
+    lines = [",".join(header)] + [",".join(repr(float(v)) for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a summary.csv row: floats beside ints and bools
+        [[0.125, 3, True, False, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")]],
+        np.array([[0.1, -0.0, 2.2250738585072014e-308 / 3, np.nan, np.inf, -np.inf, -1 / 3]]),
+        [[1, 2**53 + 1, -(2**63), 2**70, 0, -1, 1e-7, 123456789.0, 0.3]],
+        np.array([[0.1, 1e-40], [-0.0, np.nan]], dtype=np.float32),
+        [],
+    ],
+)
+def test_write_csv_bytes_match_per_value_repr(tmp_path, rows):
+    header = ["t", "a", "b"]
+    f = tmp_path / "table.csv"
+    write_csv(f, header, rows)
+    assert f.read_bytes() == per_value_csv(header, rows)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # every row one value wider than the header
+        ("t,y_1\n0.0,0.0,1.0\n0.1,0.2,1.0\n", "line 2 has 3 values, the header has 2"),
+        # ragged rows, after a blank line that still counts as a line
+        ("t,y_1\n0.0,0.0\n\n0.1,0.2,0.3\n", "line 4 has 3 values, the header has 2"),
+    ],
+)
+def test_row_width_must_match_header(tmp_path, text, message):
+    f = tmp_path / "obs.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=message):
         observation_from_csv(f)
 
 

@@ -3,7 +3,8 @@ conservation of the plain sum (the grid stepper), and sorted, in-range
 systematic-resampling indices with copy counts within 1 of n w_i.  The
 scalar column stepper of heston_paths, the in-place variance step and the
 variance-only accumulating stepper must equal the array reference below bit
-for bit, and a NaN variance start propagates."""
+for bit, the accumulating stepper whatever slabs of rows it is fed, and a NaN
+variance start propagates."""
 
 import numpy as np
 import pytest
@@ -193,9 +194,20 @@ class TestVarianceStep:
         assert not np.any(np.signbit(xp[1:]))  # max(-0.0, 0.0) is +0.0
 
 
+def summed_variance(x0, db_slabs, dt, kappa, m, gamma):
+    """heston_variance_sum from x0 and acc = 0, called once per slab of rows."""
+    x = np.array(x0, dtype=float)
+    acc = np.zeros_like(x)
+    scratch = [np.empty_like(x) for _ in range(3)]
+    for db in db_slabs:
+        heston_variance_sum(x, acc, db, dt, kappa, m, gamma, *scratch)
+    return x, acc
+
+
 class TestHestonVarianceSum:
     """heston_variance_sum is the per-column axis-0 sum of the truncated
-    variance of heston_paths (run with mu = 0 and dw = 0), bit for bit."""
+    variance of heston_paths (run with mu = 0 and dw = 0), bit for bit, and
+    carries its state across slabs of rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), starts=st.lists(_START, min_size=3, max_size=3), **_HESTON_PARAMS)
@@ -203,7 +215,7 @@ class TestHestonVarianceSum:
         db, _ = _increments(seed, steps, n, dt)
         x0 = np.random.default_rng(seed + 1).uniform(-0.05, 0.2, n)
         x0[: len(starts)] = starts[:n]
-        acc = heston_variance_sum(x0, db, dt, kappa, m, gamma)
+        _, acc = summed_variance(x0, [db], dt, kappa, m, gamma)
         x, _ = heston_paths(x0, np.zeros(n), db, np.zeros_like(db), dt, kappa, m, gamma, 0.0)
         xp = np.maximum(x[:-1], 0.0)
         folded = np.zeros(n)
@@ -212,6 +224,25 @@ class TestHestonVarianceSum:
         assert _same_bits(acc, folded)
         if n >= 2:  # numpy sums a single column pairwise, not row by row
             assert _same_bits(acc, np.sum(xp, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        starts=st.lists(_START, min_size=3, max_size=3),
+        cuts=st.lists(st.integers(0, 60), max_size=6),
+        **_HESTON_PARAMS,
+    )
+    def test_row_slabs_equal_one_call(self, n, starts, cuts, steps, seed, dt, kappa, m, gamma):
+        # consecutive slabs of any sizes, empty ones included
+        db, _ = _increments(seed, steps, n, dt)
+        x0 = np.random.default_rng(seed + 1).uniform(-0.05, 0.2, n)
+        x0[: len(starts)] = starts[:n]
+        bounds = [0, *sorted(min(c, steps) for c in cuts), steps]
+        slabs = [db[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        x_whole, acc_whole = summed_variance(x0, [db], dt, kappa, m, gamma)
+        x_slabs, acc_slabs = summed_variance(x0, slabs, dt, kappa, m, gamma)
+        assert _same_bits(acc_slabs, acc_whole)
+        assert _same_bits(x_slabs, x_whole)
 
 
 class TestFdSubstepConservation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,32 +286,55 @@ def per_particle_price(ens, model, spec, spot, inner_paths, rng, t_now=0.0, inne
     return float(ens.weights @ prices)
 
 
+def random_ensemble(n, seed):
+    gen = RngStream(seed, n).generator()
+    positions = gen.uniform(0.0, 0.12, (n, 1))
+    w = gen.uniform(0.1, 1.0, n)
+    return ParticleEnsemble(positions=positions, log_weights=np.log(w / w.sum()))
+
+
 class TestBatchedInnerMonteCarlo:
-    """The chunked inner Monte Carlo equals per-particle evaluation bit for bit."""
+    """The inner Monte Carlo, stepped as one wide array in time slabs, equals
+    per-particle evaluation bit for bit.  Shapes are chosen against the
+    16,384-column group cap and the 102,400-value draw slab."""
 
     @pytest.mark.parametrize(
         "n, inner_paths, t_now, inner_dt",
         [
-            (200, 64, 0.0, None),  # several 16-particle chunks
-            (7, 64, 0.0, None),  # a particle count that is no multiple of the chunk
-            (80, 7, 0.0, None),  # odd path count: the antithetic block is cut
-            (3, 300, 0.0, None),  # 3 particles per chunk, 900 columns
-            (2, 1025, 0.0, None),  # more paths than a chunk's columns: one particle each
-            (40, 64, 0.0, None),  # wider than one 1024-column chunk: 16 + 16 + 8 particles
+            (200, 64, 0.0, None),  # heston_demo: 12,800 columns, one group, 25 slabs of 8 rows
+            (7, 64, 0.0, None),  # 448 columns: the whole horizon in one slab
+            (80, 7, 0.0, None),  # odd path count: a spare antithetic column is cut
+            (3, 300, 0.0, None),  # 900 columns: slabs of 113 and 87 rows
+            (2, 1025, 0.0, None),  # odd and wide: 2,052 columns, four 49-row slabs and 4 rows
+            (40, 64, 0.0, None),  # 2,560 columns, five 40-row slabs
             (25, 16, 0.3, 1e-2),  # explicit inner step after the valuation time
+            (100, 64, 0.0, 1 / 203),  # 203 steps in 16-row slabs: the last one holds 11
+            (30, 8, 0.0, 1.0),  # a one-step horizon
+            (300, 64, 0.0, 0.05),  # 19,200 columns: groups of 256 and 44 particles
+            (200, 64, 0.75, None),  # heston_demo at a later price time
         ],
     )
     def test_equals_per_particle_reference(self, n, inner_paths, t_now, inner_dt):
         # gamma large enough that the inner paths hit the truncation at zero
         model = default_heston(kappa=1.5, m=0.04, gamma=0.6)
         spec = CallSpec(strike=95.0, maturity=1.0, rate=0.01)
-        gen = RngStream(21, n).generator()
-        positions = gen.uniform(0.0, 0.12, (n, 1))
-        w = gen.uniform(0.1, 1.0, n)
-        ens = ParticleEnsemble(positions=positions, log_weights=np.log(w / w.sum()))
-        args = (ens, model, spec, 101.0, inner_paths, RngStream(22, n))
+        args = (random_ensemble(n, 21), model, spec, 101.0, inner_paths, RngStream(22, n))
         kwargs = dict(t_now=t_now, inner_dt=inner_dt)
         assert filtered_option_price(*args, **kwargs) == per_particle_price(*args, **kwargs)
+
+    def test_memory_is_one_group_and_one_slab(self):
+        # heston_demo's call, 200 particles x 64 paths x 200 steps: one group's
+        # path state and one draw slab, not a draw buffer of the whole horizon
+        model = default_heston()
+        spec = CallSpec(strike=100.0, maturity=1.0)
+        ens = random_ensemble(200, 23)
+        tracemalloc.start()
+        try:
+            filtered_option_price(ens, model, spec, 100.0, 64, RngStream(23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.8e6
 
 
 class TestHestonFilter:
