@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ def constant_sensor(c):
     return ObservationModel(
         dim_obs=1, sensor=lambda x: np.full(np.asarray(x).shape[:-1] + (1,), float(c))
     )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread alive, such as a pool never shut down."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 @pytest.fixture

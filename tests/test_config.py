@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -113,6 +114,41 @@ class TestCrossKeyChecks:
             validate_config("heston_demo", {"dt": "small", "window": 10**9})
         assert len(err.value.violations) == 1
         assert "'dt'" in err.value.violations[0]
+
+    def test_shipped_novikov_config_validates(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "novikov_check.json")
+        with open(path) as fh:
+            cfg = parse_config(fh.read())
+        assert (cfg["horizon"], cfg["dt"]) == (1.0, 0.01)
+
+    @pytest.mark.parametrize(
+        "horizon, dt", [(1.0, 0.1), (3.0, 0.1), (0.7, 0.1), (1.0, 1 / 3), (1.0, 1.0)]
+    )
+    def test_novikov_whole_steps_accepted(self, horizon, dt):
+        cfg = validate_config("novikov_check", {"horizon": horizon, "dt": dt})
+        assert (cfg["horizon"], cfg["dt"]) == (horizon, dt)
+
+    @pytest.mark.parametrize("dt", [1.5, 1.0 + 1e-10])
+    def test_novikov_dt_must_not_exceed_horizon(self, dt):
+        with pytest.raises(ConfigError) as err:
+            validate_config("novikov_check", {"horizon": 1.0, "dt": dt})
+        assert err.value.violations == [f"key 'dt' = {dt!r} must not exceed 'horizon' = 1.0"]
+
+    @pytest.mark.parametrize("dt, n_steps", [(0.3, 4), (0.0099, 102)])
+    def test_novikov_partial_last_step_rejected(self, dt, n_steps):
+        # 4 steps of 0.3 would integrate to 1.2 and fail the closed form falsely
+        with pytest.raises(ConfigError) as err:
+            validate_config("novikov_check", {"horizon": 1.0, "dt": dt})
+        assert len(err.value.violations) == 1
+        message = err.value.violations[0]
+        assert message.startswith(f"key 'horizon' = 1.0 must be a whole number of 'dt' = {dt!r}")
+        assert f"= {n_steps} steps" in message
+
+    def test_novikov_steps_skipped_when_dt_invalid(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config("novikov_check", {"horizon": 1.0, "dt": "coarse"})
+        assert len(err.value.violations) == 1
+        assert "expects float" in err.value.violations[0]
 
 
 class TestConfigHash:

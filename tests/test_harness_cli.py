@@ -1,7 +1,10 @@
 import json
+import math
 import os
+import platform
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,10 +19,12 @@ from ksplab import (
     run_particle_filter,
     validate_config,
 )
-from ksplab.csvio import read_csv
+from ksplab import harness
+from ksplab.csvio import read_csv, write_csv
 from ksplab.filters import _log_norm
 from ksplab.harness import (
     RUNNERS,
+    STREAM_NOVIKOV,
     _run_with_collapse_recovery,
     run_heston_demo,
     run_linear_compare,
@@ -28,8 +33,9 @@ from ksplab.harness import (
     run_pricing_demo,
     run_scenario,
 )
+from ksplab.observation import check_novikov
 
-from conftest import identity_sensor
+from conftest import brownian_motion, constant_sensor, identity_sensor, ornstein_uhlenbeck
 
 SMALL = {
     "linear_compare": {"n_particles": 400, "horizon": 0.2, "n_grid": 201},
@@ -144,7 +150,9 @@ class TestRunners:
     def test_shared_output_contract(self, scenario, tmp_out):
         report = RUNNERS[scenario](small_config(scenario, tmp_out))
         with open(os.path.join(tmp_out, "manifest.json")) as fh:
-            assert set(json.load(fh)) == {"scenario", "seed", "config_hash", "version", "backend"}
+            assert set(json.load(fh)) == {
+                "scenario", "seed", "config_hash", "version", "backend", "python", "numpy"
+            }
         with open(os.path.join(tmp_out, "summary.csv")) as fh:
             assert fh.readline().rstrip("\n").split(",") == list(report.metrics)
         with open(os.path.join(tmp_out, "timing.json")) as fh:
@@ -250,6 +258,86 @@ class TestRunners:
         assert manifest["config_hash"] == cfg.config_hash()
         assert manifest["version"]
         assert manifest["backend"] == "numpy"
+        assert manifest["python"] == platform.python_version() == sys.version.split()[0]
+        assert manifest["numpy"] == np.__version__
+
+
+def serial_novikov_check(cfg, out):
+    """Reference copy of the one-case-at-a-time ``novikov_check`` runner.
+
+    Calls ``check_novikov`` per case in case order on the calling thread and
+    writes ``novikov.csv`` and ``summary.csv`` as the runner does; returns
+    the check names in order.
+    """
+    horizon, dt, n_paths, c = cfg["horizon"], cfg["dt"], cfg["n_paths"], cfg["h_const"]
+    cases = [
+        ("h_zero", constant_sensor(0.0), brownian_motion(), 1.0),
+        ("h_const", constant_sensor(c), brownian_motion(), math.exp(0.5 * c * c * horizon)),
+        ("h_linear_ou", identity_sensor(), ornstein_uhlenbeck(cfg["ou_theta"]), None),
+    ]
+    base = RngStream(cfg.seed, STREAM_NOVIKOV)
+    metrics, checks, lines = {}, [], ["case,estimate,stderr,finite"]
+    for i, (name, h, mdl, expected) in enumerate(cases):
+        rep = check_novikov(h, mdl, horizon, n_paths, base.substream(i), dt=dt)
+        metrics[f"{name}_estimate"] = rep.estimate
+        metrics[f"{name}_stderr"] = rep.stderr
+        checks.append(f"{name}_finite")
+        if expected is not None:
+            checks.append(f"{name}_matches_closed_form")
+        lines.append(f"{name},{rep.estimate!r},{rep.stderr!r},{1.0 if rep.finite else 0.0!r}")
+    os.makedirs(out)
+    with open(os.path.join(out, "novikov.csv"), "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    write_csv(os.path.join(out, "summary.csv"), list(metrics), [list(metrics.values())])
+    return checks
+
+
+def read_bytes(*parts):
+    with open(os.path.join(*parts), "rb") as fh:
+        return fh.read()
+
+
+class TestNovikovConcurrency:
+    """The three Novikov cases run on three threads with the serial runner's bytes."""
+
+    @pytest.mark.parametrize("seed", [7, 12])
+    def test_matches_serial_reference(self, seed, tmp_path):
+        cfg = small_config("novikov_check", str(tmp_path / "threads"), seed=seed)
+        report = run_novikov_check(cfg)
+        ref = str(tmp_path / "serial")
+        ref_checks = serial_novikov_check(cfg, ref)
+        assert [c.name for c in report.checks] == ref_checks
+        for name in ("novikov.csv", "summary.csv"):
+            assert read_bytes(cfg.output_dir, name) == read_bytes(ref, name), name
+
+    @pytest.mark.parametrize("failing", [0, 2])  # the calling thread, a pool worker
+    def test_failing_case_raises_after_the_others_finish(self, failing, tmp_out, monkeypatch):
+        cfg = small_config("novikov_check", tmp_out)
+        base = RngStream(cfg.seed, STREAM_NOVIKOV)
+        case_of = {base.substream(i): i for i in range(3)}
+        finished, on_main = [], {}
+        real = harness.check_novikov
+
+        class CaseFailed(RuntimeError):
+            pass
+
+        def check(obs, model, horizon, n_paths, rng, dt=None):
+            case = case_of[rng]
+            on_main[case] = threading.current_thread() is threading.main_thread()
+            if case == failing:
+                raise CaseFailed(case)
+            rep = real(obs, model, horizon, n_paths, rng, dt=dt)
+            finished.append(case)
+            return rep
+
+        monkeypatch.setattr(harness, "check_novikov", check)
+        before = threading.enumerate()
+        with pytest.raises(CaseFailed) as err:
+            run_novikov_check(cfg)
+        assert err.value.args == (failing,)
+        assert sorted(finished) == sorted({0, 1, 2} - {failing})
+        assert on_main == {0: True, 1: False, 2: False}
+        assert set(threading.enumerate()) == set(before)
 
 
 class TestCli:
@@ -353,10 +441,10 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
 
-def scipy_loaded_after(code, *args):
-    """Run ``code`` in a fresh interpreter; return whether it left scipy loaded."""
+def loaded_after(module, code, *args):
+    """Run ``code`` in a fresh interpreter; return whether it left ``module`` loaded."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\nprint('scipy' in sys.modules)", *args],
+        [sys.executable, "-c", f"import sys\n{code}\nprint({module!r} in sys.modules)", *args],
         capture_output=True,
         text=True,
     )
@@ -377,17 +465,23 @@ def small_params(scenario, out_dir):
 
 
 class TestColdImport:
-    """scipy is loaded only by `evolve_kernel`, so only `master_demo` pays for it."""
+    """scipy is loaded only by `evolve_kernel`, so only `master_demo` pays for it;
+    the thread pool (and the logging it loads) only by a `novikov_check` run."""
 
     @pytest.mark.parametrize("code", ["import ksplab", "import ksplab.harness, ksplab.cli"])
     def test_import_leaves_scipy_unloaded(self, code):
-        assert not scipy_loaded_after(code)
+        assert not loaded_after("scipy", code)
 
     @pytest.mark.parametrize(
         "scenario", ["linear_compare", "heston_demo", "pricing_demo", "novikov_check"]
     )
     def test_scenario_leaves_scipy_unloaded(self, scenario, tmp_path):
-        assert not scipy_loaded_after(RUN_SMALL, scenario, small_params(scenario, str(tmp_path)))
+        assert not loaded_after("scipy", RUN_SMALL, scenario, small_params(scenario, str(tmp_path)))
+
+    @pytest.mark.parametrize("module", ["concurrent.futures", "logging"])
+    def test_import_leaves_thread_pool_unloaded(self, module):
+        # novikov_check imports its executor when it runs, not at import
+        assert not loaded_after(module, "import ksplab.harness, ksplab.cli")
 
     def test_master_demo_loads_scipy(self, tmp_path):
-        assert scipy_loaded_after(RUN_SMALL, "master_demo", small_params("master_demo", str(tmp_path)))
+        assert loaded_after("scipy", RUN_SMALL, "master_demo", small_params("master_demo", str(tmp_path)))
