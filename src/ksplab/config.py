@@ -133,14 +133,15 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
                 f"key 'window' = {p['window']!r} must be below the path's {n_samples} samples "
                 "(ceil(horizon / dt) + 1)"
             )
-    if scenario == "novikov_check" and invalid.isdisjoint({"horizon", "dt"}):
-        # the Euler sum takes ceil(horizon / dt) whole steps, with the guards
-        # of sde._n_steps; a partial last step would integrate past the horizon
+    if scenario in ("linear_compare", "novikov_check") and invalid.isdisjoint({"horizon", "dt"}):
+        # both simulate ceil(horizon / dt) Euler steps, with the guards of
+        # sde._n_steps; novikov_check's sum must also take whole steps, as a
+        # partial last step would integrate past the horizon
         horizon, dt = p["horizon"], p["dt"]
         n_steps = math.ceil(horizon / dt - 1e-9)
         if dt > horizon * (1 + 1e-12):
             found.append(f"key 'dt' = {dt!r} must not exceed 'horizon' = {horizon!r}")
-        elif n_steps * dt > horizon * (1 + 1e-9):
+        elif scenario == "novikov_check" and n_steps * dt > horizon * (1 + 1e-9):
             found.append(
                 f"key 'horizon' = {horizon!r} must be a whole number of 'dt' = {dt!r} steps "
                 f"(ceil(horizon / dt) = {n_steps} steps reach {n_steps * dt:.6g})"

@@ -421,11 +421,15 @@ def _grid_stepper(
     """Prepare Zakai substeps of length ``dt`` on fixed grid nodes.
 
     Drift, diffusion and sensor depend on the state alone, so they, the
-    stability check and h^2 dt / 2 are evaluated here once.  The returned
+    stability check, h^2 dt / 2 and the stencil's workspace
+    (``_kernels.fd_workspace``) are made here once.  The returned
     ``advance(p, dY, n_sub)`` makes ``n_sub`` substeps on bare node values:
     each is the forward-Kolmogorov stencil, the flooring check and cap, and
     multiplication by exp(h dY - h^2 dt / 2), a factor computed once per
-    call because every substep takes the same increment ``dY``.
+    call because every substep takes the same increment ``dY``.  A call
+    copies ``p`` once (the caller's array is never written) and runs every
+    substep in place on that copy, which it returns; a substep allocates
+    nothing unless it has negative values to floor.
     """
     if model.dim_state != 1:
         raise ValueError("grid solver handles 1-D state models only")
@@ -444,11 +448,13 @@ def _grid_stepper(
     a_nodes = np.asarray(model.drift(nodes_col))[:, 0]
     h = obs.sensor_values(nodes_col)[:, 0]
     half_h2_dt = 0.5 * h * h * dt
+    work = _kernels.fd_workspace(nodes.size)
 
     def advance(p: np.ndarray, dY: float, n_sub: int = 1) -> np.ndarray:
         factor = np.exp(h * dY - half_h2_dt)
+        p = np.array(p, dtype=float)
         for _ in range(n_sub):
-            p = _kernels.fd_substep(p, a_nodes, b_nodes, dt, cell)
+            _kernels.fd_substep(p, a_nodes, b_nodes, dt, cell, out=p, work=work)
             if not p.min() >= 0.0:  # also true when p holds a NaN
                 neg = p < 0
                 floored = -float(np.sum(p[neg]))
@@ -458,8 +464,8 @@ def _grid_stepper(
                         f"flooring removed {floored / total:.3e} of the mass "
                         f"(limit {max_floored_fraction})"
                     )
-                p = np.where(neg, 0.0, p)
-            p = p * factor
+                p[neg] = 0.0
+            p *= factor
         return p
 
     return advance
@@ -508,16 +514,20 @@ def run_grid_filter(
     normalized copy).
 
     Prepared once per run: drift, diffusion and sensor at the nodes, the
-    stability check, h^2 dt / 2 and every test function at the nodes; the
-    factor exp(h dY - h^2 dt / 2) once per observation increment.  Each
-    substep runs only the forward-Kolmogorov stencil, the flooring check and
-    cap, and the multiplication by that factor.  The density lives as bare
-    node values: once per observation step they get the finiteness and
-    non-negativity checks of :class:`GridDensity` (with its messages), are
-    normalized if ``renormalize``, and the moments are trapezoidal integrals
-    against a normalized copy, the bits of :meth:`GridDensity.moment` on
-    :meth:`GridDensity.normalized`.  A :class:`GridDensity` is built only
-    for ``return_final``.
+    stability check, h^2 dt / 2, the stencil's workspace (see
+    :func:`_grid_stepper`) and every test function at the nodes, stacked
+    into one (n_phi, n_grid) array; each test function must map the
+    (n_grid, 1) nodes to shape (n_grid,), as the particle filter requires.
+    The factor exp(h dY - h^2 dt / 2) is made once per observation
+    increment.  Each substep runs only the forward-Kolmogorov stencil, the
+    flooring check and cap, and the multiplication by that factor, in place.
+    The density lives as bare node values: once per observation step they
+    get the finiteness and non-negativity checks of :class:`GridDensity`
+    (with its messages), are normalized if ``renormalize``, and all moments
+    are one batched trapezoidal integral against a normalized copy.  Each row
+    is summed as a 1-D integral is, so every moment has the bits of
+    :meth:`GridDensity.moment` on :meth:`GridDensity.normalized`.  A
+    :class:`GridDensity` is built only for ``return_final``.
     """
     phis = dict(phis if phis is not None else default_test_functions(max(abs(x_lo), abs(x_hi))))
     if ksp_phi is not None:
@@ -533,16 +543,19 @@ def run_grid_filter(
     floor_cap = 1e-6 / (n_sub * max(1, obs_path.increments.shape[0]))
     nodes, cell = dens.nodes, dens.cell
     advance = _grid_stepper(model, obs_model, nodes, dt / n_sub, floor_cap)
-    phi_nodes = {name: np.asarray(phi(nodes[:, None])) for name, phi in phis.items()}
+    phi_nodes = np.array(
+        [_phi_values(nodes[:, None], phi) for phi in phis.values()]
+    ).reshape(len(phis), nodes.size)
+    phi_density = np.empty_like(phi_nodes)
 
     n_times = obs_path.times.size
-    moments = {name: np.empty(n_times) for name in phis}
+    moment_rows = np.empty((len(phis), n_times))
     ess_series = np.empty(n_times)
 
     def record(k, p):
         pn = _normalized_values(p, cell)
-        for name, g in phi_nodes.items():
-            moments[name][k] = float(_trapezoid(g * pn, dx=cell))
+        np.multiply(phi_nodes, pn, out=phi_density)
+        moment_rows[:, k] = _trapezoid(phi_density, dx=cell, axis=-1)
         # weight-concentration measure on cell masses, in [1, n_grid]
         w = pn / np.sum(pn)
         ess_series[k] = 1.0 / np.sum(w**2)
@@ -555,6 +568,7 @@ def run_grid_filter(
         if renormalize:
             p = _normalized_values(p, cell)
         record(k + 1, p)
+    moments = dict(zip(phis, moment_rows))
     series = FilterEstimate(times=obs_path.times.copy(), moments=moments, ess=ess_series)
     return (series, GridDensity(nodes, p)) if return_final else series
 

@@ -51,6 +51,23 @@ def constant_sensor(c):
     )
 
 
+def reference_fd_substep(p, a_nodes, b_nodes, dt, cell):
+    """Frozen reference: the grid-transport stencil as it was written before it
+    took a workspace, allocating every temporary and updating the two boundary
+    nodes on their own.  ``_kernels.fd_substep`` must equal it bit for bit."""
+    p = np.asarray(p, dtype=float)
+    ap = a_nodes * p
+    bp = b_nodes * p
+    denom = 2.0 * cell
+    flux = 0.5 * (ap[:-1] + ap[1:]) - (bp[1:] - bp[:-1]) / denom
+    coef = dt / cell
+    out = np.empty_like(p)
+    out[0] = p[0] - coef * flux[0]
+    out[1:-1] = p[1:-1] - coef * (flux[1:] - flux[:-1])
+    out[-1] = p[-1] - coef * (0.0 - flux[-1])
+    return out
+
+
 @pytest.fixture(autouse=True)
 def no_thread_left_running():
     """Fail a test that leaves a thread alive, such as a pool never shut down."""

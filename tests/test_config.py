@@ -150,6 +150,34 @@ class TestCrossKeyChecks:
         assert len(err.value.violations) == 1
         assert "expects float" in err.value.violations[0]
 
+    def test_shipped_linear_compare_config_validates(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "linear_compare.json")
+        with open(path) as fh:
+            cfg = parse_config(fh.read())
+        assert (cfg["horizon"], cfg["dt"]) == (1.0, 0.001)
+
+    @pytest.mark.parametrize("horizon, dt", [(0.1, 0.5), (0.5, 0.5 + 1e-10), (0.002, 0.003)])
+    def test_linear_compare_dt_must_not_exceed_horizon(self, horizon, dt):
+        # this used to pass validation and die in sde._n_steps at run time
+        with pytest.raises(ConfigError) as err:
+            validate_config("linear_compare", {}, {"horizon": horizon, "dt": dt})
+        assert err.value.violations == [
+            f"key 'dt' = {dt!r} must not exceed 'horizon' = {horizon!r}"
+        ]
+
+    @pytest.mark.parametrize("horizon, dt", [(1.0, 1.0), (0.1, 0.1), (1.0, 0.3)])
+    def test_linear_compare_dt_up_to_horizon_accepted(self, horizon, dt):
+        # a coarse dt or a partial last step still runs, and the scenario's checks
+        # judge the result; only dt > horizon cannot run
+        cfg = validate_config("linear_compare", {}, {"horizon": horizon, "dt": dt})
+        assert (cfg["horizon"], cfg["dt"]) == (horizon, dt)
+
+    def test_linear_compare_dt_rule_skipped_when_horizon_invalid(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config("linear_compare", {"horizon": -1.0, "dt": 0.5})
+        assert len(err.value.violations) == 1
+        assert "'horizon'" in err.value.violations[0]
+
 
 class TestConfigHash:
     def test_hash_ignores_output_dir(self):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +37,13 @@ from ksplab import (
 from ksplab import _kernels
 from ksplab.filters import _grid_stepper, _log_norm
 
-from conftest import brownian_motion, constant_sensor, deterministic_model, identity_sensor
+from conftest import (
+    brownian_motion,
+    constant_sensor,
+    deterministic_model,
+    identity_sensor,
+    reference_fd_substep,
+)
 
 
 def scalar_linear(F=-1.0, sigma=1.0, H=1.0):
@@ -476,7 +484,7 @@ def reference_grid_filter(
             assert sub_dt <= stability_dt_bound(dens, model) * (1 + 1e-12)
             a_nodes = np.asarray(model.drift(nodes_col))[:, 0]
             b_nodes = model.diffusion_matrix(nodes_col)[..., 0, 0]
-            p = _kernels.fd_substep(dens.values, a_nodes, b_nodes, sub_dt, dens.cell)
+            p = reference_fd_substep(dens.values, a_nodes, b_nodes, sub_dt, dens.cell)
             neg = p < 0
             if np.any(neg):
                 floored = -float(np.sum(p[neg]))
@@ -530,7 +538,7 @@ class TestPreparedGridStepper:
         dens = gaussian_grid(0.2, 0.3, n=201)
         dt = 0.5 * stability_dt_bound(dens, sm)
         nodes_col = dens.nodes[:, None]
-        p = _kernels.fd_substep(
+        p = reference_fd_substep(
             dens.values,
             np.asarray(sm.drift(nodes_col))[:, 0],
             sm.diffusion_matrix(nodes_col)[..., 0, 0],
@@ -565,7 +573,7 @@ class TestFlooringCap:
         model = drift_against_weak_diffusion()
         dens = GridDensity.from_initial_law(model.initial_law, -6.0, 6.0, 201)
         nodes_col = dens.nodes[:, None]
-        raw = _kernels.fd_substep(
+        raw = reference_fd_substep(
             dens.values,
             np.asarray(model.drift(nodes_col))[:, 0],
             model.diffusion_matrix(nodes_col)[..., 0, 0],
@@ -587,7 +595,7 @@ class TestFlooringCap:
 
 def reference_advance(p, a_nodes, b_nodes, factor, dt, cell, cap):
     """One substep with the flooring test written as ``np.any(p < 0)``."""
-    p = _kernels.fd_substep(p, a_nodes, b_nodes, dt, cell)
+    p = reference_fd_substep(p, a_nodes, b_nodes, dt, cell)
     neg = p < 0
     if np.any(neg):
         floored = -float(np.sum(p[neg]))
@@ -595,6 +603,82 @@ def reference_advance(p, a_nodes, b_nodes, factor, dt, cell, cap):
         assert not (total > 0 and floored > cap * total)
         p = np.where(neg, 0.0, p)
     return p * factor
+
+
+class TestGridStepperInPlace:
+    """advance() copies its input once and runs every substep in place on the
+    copy, through one workspace made when the stepper is prepared."""
+
+    def prepared(self, n_grid=801):
+        model, sm, om, truth, obs = linear_setup(66, horizon=0.01)
+        dens = gaussian_grid(0.1, 0.4, n=n_grid)
+        dt = 1e-3 / 12
+        return _grid_stepper(sm, om, dens.nodes, dt, 1e-6), dens.values
+
+    def test_input_never_written(self):
+        advance, p = self.prepared()
+        before = p.copy()
+        out = advance(p, 0.01, 12)
+        assert out is not p
+        assert np.array_equal(p, before)
+        assert not np.array_equal(out, before)
+
+    def test_zero_substeps_return_a_copy(self):
+        advance, p = self.prepared()
+        out = advance(p, 0.01, 0)
+        assert out is not p and np.array_equal(out, p)
+
+    def test_one_call_peaks_at_a_few_node_arrays(self):
+        # the output copy and the exp factor's two temporaries; each substep
+        # that allocated its own temporaries again would peak near 8 arrays
+        advance, p = self.prepared()
+        advance(p, 0.01, 12)  # warm up numpy's lazily built state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            advance(p, 0.01, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 4 * p.nbytes
+
+
+class TestGridTestFunctions:
+    """Each test function is evaluated at the nodes once, checked as the
+    particle filter checks it, and integrated in one batched trapezoid."""
+
+    @pytest.mark.parametrize(
+        "phi, shape",
+        [(lambda x: x, "(201, 1)"), (lambda x: 1.0, "()"), (lambda x: x[:-1, 0], "(200,)")],
+    )
+    def test_wrong_shape_rejected_at_set_up(self, phi, shape):
+        model, sm, om, truth, obs = linear_setup(67, horizon=0.01)
+        with pytest.raises(ValueError, match=re.escape(f"phi must return shape (201,), got {shape}")):
+            run_grid_filter(sm, om, obs, -6.0, 6.0, 201, phis={"bad": phi})
+        # the particle filter refuses the same function with the same message
+        with pytest.raises(ValueError, match=r"phi must return shape \(50,\)"):
+            run_particle_filter(sm, om, obs, 50, RngStream(67, 3), phis={"bad": phi})
+
+    def test_no_test_functions(self):
+        model, sm, om, truth, obs = linear_setup(67, horizon=0.01)
+        series = run_grid_filter(sm, om, obs, -6.0, 6.0, 201, phis={})
+        assert series.moments == {}
+        assert series.ess.shape == obs.times.shape
+
+    def test_batched_rows_equal_one_dimensional_integrals(self):
+        model, sm, om, truth, obs = linear_setup(68, horizon=0.02)
+        phis = {
+            "x": lambda x: x[..., 0],
+            "int": lambda x: np.arange(x.shape[0]),
+            "bump": lambda x: np.exp(-x[..., 0] ** 2),
+        }
+        series, final = run_grid_filter(
+            sm, om, obs, -6.0, 6.0, 401, phis=phis, return_final=True
+        )
+        dn = final.normalized()
+        for name, phi in phis.items():
+            one = dn.moment(lambda nodes, phi=phi: phi(nodes[:, None]))
+            assert series.moments[name][-1] == one, name
 
 
 class TestGridErrorPaths:

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 
 from ksplab._kernels import (
     fd_substep,
+    fd_workspace,
     heston_paths,
     heston_variance_sum,
     resample_indices,
     variance_step,
 )
+
+from conftest import reference_fd_substep
 
 
 def array_heston_paths(x0, y0, db, dw, dt, kappa, m, gamma, mu):
@@ -245,6 +248,17 @@ class TestHestonVarianceSum:
         assert _same_bits(x_slabs, x_whole)
 
 
+def _stencil_inputs(seed, n, a_scale, b_scale, cell, dt_frac):
+    """Spiky nonnegative p with zeros; where the drift scale dwarfs the
+    diffusion scale, the central flux pushes some outputs below zero."""
+    rng = np.random.default_rng(seed)
+    p = rng.uniform(0.0, 1.0, n) * rng.integers(0, 2, n)
+    a = rng.normal(size=n) * a_scale
+    b = rng.uniform(0.0, 1.0, n) * b_scale
+    dt = dt_frac * 0.4 * cell**2 / max(float(np.max(b)), 1e-12)
+    return p, a, b, dt
+
+
 class TestFdSubstepConservation:
     """The grid stepper floors and reweights after the stencil, so the stencil
     itself must conserve the plain sum, to within rounding."""
@@ -259,15 +273,65 @@ class TestFdSubstepConservation:
         dt_frac=st.floats(0.0, 1.0),
     )
     def test_plain_sum_conserved(self, n, seed, a_scale, b_scale, cell, dt_frac):
-        rng = np.random.default_rng(seed)
-        p = rng.uniform(0.0, 1.0, n) * rng.integers(0, 2, n)  # spiky, with zeros
-        a = rng.normal(size=n) * a_scale
-        b = rng.uniform(0.0, 1.0, n) * b_scale
-        dt = dt_frac * 0.4 * cell**2 / max(float(np.max(b)), 1e-12)
+        p, a, b, dt = _stencil_inputs(seed, n, a_scale, b_scale, cell, dt_frac)
         # rounding scale: every term that enters the sum
         scale = np.sum(p) + dt / cell * np.sum(np.abs(a * p) + np.abs(b * p) / cell)
         out = fd_substep(p, a, b, dt, cell)
         assert abs(np.sum(out) - np.sum(p)) <= 1e-13 * n * scale
+
+
+class TestFdSubstepWorkspace:
+    """The workspace stencil (zero-padded fluxes, caller-owned buffers) must
+    equal the allocating reference bit for bit, whichever of ``out`` and
+    ``work`` it is given, with ``out`` aliasing ``p``, and when one
+    workspace serves many substeps."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        seed=st.integers(0, 2**32 - 1),
+        a_scale=st.floats(0.0, 50.0),
+        b_scale=st.floats(0.0, 5.0),
+        cell=st.floats(1e-3, 1.0),
+        dt_frac=st.floats(0.0, 1.0),
+    )
+    def test_every_call_form_equals_reference(self, n, seed, a_scale, b_scale, cell, dt_frac):
+        p, a, b, dt = _stencil_inputs(seed, n, a_scale, b_scale, cell, dt_frac)
+        expected = reference_fd_substep(p, a, b, dt, cell)
+        p_before = p.copy()
+        assert _same_bits(fd_substep(p, a, b, dt, cell), expected)
+        out = np.full(n, np.nan)
+        assert fd_substep(p, a, b, dt, cell, out=out) is out
+        assert _same_bits(out, expected)
+        assert _same_bits(fd_substep(p, a, b, dt, cell, work=fd_workspace(n)), expected)
+        assert _same_bits(p, p_before)
+        q = p.copy()
+        assert fd_substep(q, a, b, dt, cell, out=q, work=fd_workspace(n)) is q
+        assert _same_bits(q, expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 801])
+    def test_outputs_below_zero(self, n):
+        p = np.zeros(n)
+        p[n // 2] = 1.0
+        a = np.full(n, 40.0)
+        b = np.full(n, 0.01)
+        expected = reference_fd_substep(p, a, b, 1e-3, 0.1)
+        assert np.any(expected < 0)
+        q = p.copy()
+        fd_substep(q, a, b, 1e-3, 0.1, out=q, work=fd_workspace(n))
+        assert _same_bits(q, expected)
+
+    @pytest.mark.parametrize("n", [3, 801])
+    @pytest.mark.parametrize("a_scale", [0.0, 40.0])
+    def test_one_workspace_many_substeps(self, n, a_scale):
+        p, a, b, dt = _stencil_inputs(11, n, a_scale, 2.0, 0.05, 0.9)
+        work = fd_workspace(n)
+        q = p.copy()
+        expected = p
+        for _ in range(40):
+            expected = reference_fd_substep(expected, a, b, dt, 0.05)
+            fd_substep(q, a, b, dt, 0.05, out=q, work=work)
+            assert _same_bits(q, expected)
 
 
 class TestResampleIndicesProperties:
