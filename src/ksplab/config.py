@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .rng import _SUBSTREAM_FACTOR
+
 
 class ConfigError(ValueError):
     """Invalid configuration; ``violations`` lists every problem found."""
@@ -133,6 +135,20 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
                 f"key 'window' = {p['window']!r} must be below the path's {n_samples} samples "
                 "(ceil(horizon / dt) + 1)"
             )
+    heston_keys = {"horizon", "dt", "filter_stride", "maturity", "n_price_times"}
+    if scenario == "heston_demo" and invalid.isdisjoint(heston_keys):
+        # pricing at coarse index k draws from substream 2k + 1 (when the
+        # maturity lies past the horizon), and the last priced index is the
+        # last coarse sample unless only one time is priced
+        n_coarse = math.ceil(p["horizon"] / p["dt"] - 1e-9) // p["filter_stride"] + 1
+        last = n_coarse - 1 if p["n_price_times"] > 1 else 0
+        if p["maturity"] > p["horizon"] and 2 * last + 1 >= _SUBSTREAM_FACTOR:
+            found.append(
+                f"key 'horizon' = {p['horizon']!r} at 'dt' = {p['dt']!r} and 'filter_stride' = "
+                f"{p['filter_stride']!r} gives {n_coarse} filter samples; pricing at sample k "
+                f"draws from substream 2k + 1, so at most {_SUBSTREAM_FACTOR // 2} samples "
+                "can be priced"
+            )
     if scenario in ("linear_compare", "novikov_check") and invalid.isdisjoint({"horizon", "dt"}):
         # both simulate ceil(horizon / dt) Euler steps, with the guards of
         # sde._n_steps; novikov_check's sum must also take whole steps, as a
@@ -141,6 +157,13 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
         n_steps = math.ceil(horizon / dt - 1e-9)
         if dt > horizon * (1 + 1e-12):
             found.append(f"key 'dt' = {dt!r} must not exceed 'horizon' = {horizon!r}")
+        elif scenario == "linear_compare" and n_steps >= _SUBSTREAM_FACTOR:
+            # the particle filter draws step k from substream k + 1
+            found.append(
+                f"key 'horizon' = {horizon!r} at 'dt' = {dt!r} is {n_steps} steps; the "
+                f"particle filter draws each step from its own substream, so at most "
+                f"{_SUBSTREAM_FACTOR - 1} steps can run"
+            )
         elif scenario == "novikov_check" and n_steps * dt > horizon * (1 + 1e-9):
             found.append(
                 f"key 'horizon' = {horizon!r} must be a whole number of 'dt' = {dt!r} steps "

@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from .observation import ObservationModel, ObservationPath
 from .rng import RngStream
-from .sde import DiffusionModel, InitialLaw, _euler_step, generator_values
+from .sde import DiffusionModel, InitialLaw, _euler_step, _generator_form, generator_values
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -45,12 +45,14 @@ class EnsembleCollapseError(RuntimeError):
     """All particle weights underflowed to zero."""
 
 
-def _log_norm(log_weights: np.ndarray) -> np.ndarray:
+def _log_norm(log_weights: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Normalize log weights by their log-sum-exp.
 
     Every weight at -inf is a collapse (:class:`EnsembleCollapseError`, which
     the harness answers with a rerun); a NaN or +inf weight is a fault in the
-    likelihood, not a collapse, and raises ``ValueError``.
+    likelihood, not a collapse, and raises ``ValueError``.  ``out`` (which
+    may be ``log_weights``) and ``scratch`` are optional float64 buffers
+    shaped like the weights, for the result and the exponentials.
     """
     log_weights = np.asarray(log_weights, dtype=float)
     m = log_weights.max()
@@ -58,7 +60,8 @@ def _log_norm(log_weights: np.ndarray) -> np.ndarray:
         raise EnsembleCollapseError("all particle weights underflowed to -inf")
     if not np.isfinite(m):
         raise ValueError(f"log weights contain {float(m)!r}")
-    return log_weights - (np.log(np.exp(log_weights - m).sum()) + m)
+    e = np.exp(np.subtract(log_weights, m, out=scratch), out=scratch)
+    return np.subtract(log_weights, np.log(e.sum()) + m, out=out)
 
 
 def _check_normalized(w: np.ndarray) -> None:
@@ -219,11 +222,15 @@ def pf_init(law: InitialLaw, n_particles: int, rng: RngStream) -> ParticleEnsemb
     return ParticleEnsemble.uniform(law.sample(n_particles, rng.generator()))
 
 
-def _phi_values(x: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    vals = np.asarray(phi(x), dtype=float)
-    if vals.shape != (x.shape[0],):
-        raise ValueError(f"phi must return shape ({x.shape[0]},), got {vals.shape}")
+def _checked_values(vals, n: int) -> np.ndarray:
+    vals = np.asarray(vals, dtype=float)
+    if vals.shape != (n,):
+        raise ValueError(f"phi must return shape ({n},), got {vals.shape}")
     return vals
+
+
+def _phi_values(x: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    return _checked_values(phi(x), x.shape[0])
 
 
 def pf_estimate(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) -> float:
@@ -242,9 +249,12 @@ def resample_systematic(ens: ParticleEnsemble, rng: RngStream) -> ParticleEnsemb
     return _resample_with_offset(ens, u0)
 
 
-def _systematic_indices(w: np.ndarray, u0: float, n_out: int) -> np.ndarray:
-    """Parent indices of n_out systematic draws from normalized weights w."""
-    cw = np.cumsum(w)
+def _systematic_indices(w: np.ndarray, u0: float, n_out: int, cw=None) -> np.ndarray:
+    """Parent indices of n_out systematic draws from normalized weights w.
+
+    ``cw``, a float64 buffer shaped like ``w``, takes the cumulative weights.
+    """
+    cw = np.cumsum(w, out=cw)
     cw[-1] = 1.0  # guard against rounding in the final cumulative weight
     return _kernels.resample_indices(cw, u0, n_out)
 
@@ -257,12 +267,35 @@ def _resample_with_offset(
     return ParticleEnsemble.uniform(ens.positions[_systematic_indices(ens.weights, u0, n_out)])
 
 
+class _ParticleBuffers:
+    """The float64 arrays a particle run writes every step, made once.
+
+    Each comes from :func:`_kernels.aligned_empty`, so its data start on a
+    64-byte boundary whatever the allocator does.  ``positions`` holds two
+    buffers shaped like the particles: a mutation or a resampling writes
+    into the one its input does not occupy (:meth:`spare`), so the two
+    alternate.  ``lw``, ``w``, ``incr`` and ``tmp`` hold one value per
+    particle: the log weights, the weights, the log-likelihood increment
+    and scratch.
+    """
+
+    def __init__(self, shape: tuple):
+        self.positions = (_kernels.aligned_empty(shape), _kernels.aligned_empty(shape))
+        n = shape[0]
+        self.lw, self.w, self.incr, self.tmp = (_kernels.aligned_empty(n) for _ in range(4))
+
+    def spare(self, x: np.ndarray) -> np.ndarray:
+        """The position buffer that does not hold ``x``."""
+        return self.positions[x is self.positions[0]]
+
+
 def _reweight(
     x: np.ndarray,
     lw: np.ndarray,
     log_incr: np.ndarray,
     gen: np.random.Generator,
     resample_threshold: float,
+    buffers: _ParticleBuffers,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Reweight / normalize / maybe resample particles held as bare arrays.
 
@@ -273,44 +306,78 @@ def _reweight(
     exponentiated once: they carry the sum-to-one check that every
     :class:`ParticleEnsemble` makes and give the ESS.  When ESS <
     resample_threshold * N, systematic resampling with one
-    ``gen.uniform()`` offset replaces the particles by copies with
-    ``_uniform_log_weights``.  Returns ``(x, lw, w, ess)`` after the cycle,
-    the same bits as building a :class:`ParticleEnsemble` and calling
-    ``ess`` and ``_resample_with_offset`` on it.
+    ``gen.uniform()`` offset copies the chosen particles into
+    ``buffers.spare(x)`` and sets the log weights to -log N.
+
+    Everything is written into ``buffers``, a :class:`_ParticleBuffers` for
+    particles shaped like ``x``; ``x``, ``lw`` and ``log_incr`` may be its
+    arrays, and ``tmp`` is overwritten.  Returns ``(x, lw, w, ess)`` after the
+    cycle: ``x`` is the input or, after resampling, the spare buffer, and
+    ``lw`` and ``w`` are ``buffers.lw`` and ``buffers.w``.  The bits equal
+    building a :class:`ParticleEnsemble` and calling ``ess`` and
+    ``_resample_with_offset`` on it.
     """
-    lw = _log_norm(lw + log_incr)
-    w = np.exp(lw)
+    lw = _log_norm(np.add(lw, log_incr, out=buffers.lw), out=buffers.lw, scratch=buffers.tmp)
+    w = np.exp(lw, out=buffers.w)
     _check_normalized(w)
     n = x.shape[0]
-    n_eff = 1.0 / (w**2).sum()
+    n_eff = 1.0 / np.square(w, out=buffers.tmp).sum()
     if n_eff < resample_threshold * n:
-        x = x[_systematic_indices(w, float(gen.uniform()), n)]
-        lw = _uniform_log_weights(n)
-        w = np.exp(lw)
-        n_eff = 1.0 / (w**2).sum()
+        idx = _systematic_indices(w, float(gen.uniform()), n, cw=buffers.tmp)
+        # the indices lie in [0, n), so "clip" changes none of them; it
+        # spares the temporary copy that take makes for out= under "raise"
+        x = np.take(x, idx, axis=0, out=buffers.spare(x), mode="clip")
+        lw.fill(-np.log(n))
+        np.exp(lw, out=w)
+        n_eff = 1.0 / np.square(w, out=buffers.tmp).sum()
     return x, lw, w, n_eff
 
 
-def _pf_cycle(
+def _particle_stepper(
     model: DiffusionModel,
     obs: ObservationModel,
-    x: np.ndarray,
-    lw: np.ndarray,
-    dY: np.ndarray,
-    dt: float,
+    shape: tuple,
     q: int,
-    gen: np.random.Generator,
+    dt: float,
     resample_threshold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Mutate bare (N, d) positions by one :func:`sde._euler_step`, then :func:`_reweight`."""
-    x = _euler_step(model, x, dt, q, gen)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("particle mutation produced non-finite positions")
+) -> Callable:
+    """Prepare mutate / reweight / maybe-resample cycles of particles shaped ``shape``.
 
-    h = obs.sensor_values(x)
-    with np.errstate(over="ignore"):  # overflow in |h|^2 means weight -> 0
-        log_incr = np.dot(h, dY) - 0.5 * np.sum(h * h, axis=-1) * dt
-    return _reweight(x, lw, log_incr, gen, resample_threshold)
+    Every float64 array a cycle writes is made here once: the
+    :class:`_ParticleBuffers`, the ``(N, q)`` draws, sigma dV and h^2 (all
+    64-byte aligned).  The returned ``step(x, lw, a, sig, dY, gen)`` takes
+    the positions, their normalized log weights, and a(x) and sigma(x)
+    already evaluated (``None`` to have the step call the callback).  It
+    mutates by one :func:`sde._euler_step` into the spare position buffer,
+    evaluates the sensor once at the new positions, writes the log-weight
+    increment h.dY - |h|^2 dt / 2 in place and runs :func:`_reweight` on
+    the same buffers.  It returns ``(x, lw, w, ess, h)``: ``h`` is the
+    sensor at the returned ``x``, or ``None`` after a resampling, whose
+    positions the sensor has not seen.  ``x`` and ``h`` are valid until the
+    next call, which writes into the buffer ``x`` does not hold.
+    """
+    buffers = _ParticleBuffers(shape)
+    n = shape[0]
+    dv, noise = _kernels.aligned_empty((n, q)), _kernels.aligned_empty(shape)
+    hh = _kernels.aligned_empty((n, obs.dim_obs))
+    finite = np.empty(shape, dtype=bool)
+
+    def step(x, lw, a, sig, dY, gen):
+        x = _euler_step(model, x, dt, q, gen, a, sig, buffers.spare(x), dv, noise)
+        if not np.isfinite(x, out=finite).all():
+            raise ValueError("particle mutation produced non-finite positions")
+        h = obs.sensor_values(x)
+        incr, half = buffers.incr, buffers.tmp
+        with np.errstate(over="ignore"):  # overflow in |h|^2 means weight -> 0
+            np.dot(h, dY, out=incr)
+            np.sum(np.multiply(h, h, out=hh), axis=-1, out=half)
+            np.multiply(0.5, half, out=half)
+            half *= dt
+            incr -= half
+        x_new, lw, w, n_eff = _reweight(x, lw, incr, gen, resample_threshold, buffers)
+        return x_new, lw, w, n_eff, (h if x_new is x else None)
+
+    return step
 
 
 def pf_step(
@@ -328,17 +395,18 @@ def pf_step(
     h(x).dY - |h(x)|^2 dt / 2 is the likelihood factor of the observed
     increment; renormalization is the Bayes step; systematic resampling
     triggers when ESS < resample_threshold * N.  ``ens`` is normalized by
-    construction, and so is the returned ensemble.  A wrapper over the
-    array cycle that :func:`run_particle_filter` drives directly: it builds
-    only the returned ensemble.
+    construction, and so is the returned ensemble.  One step of the
+    :func:`_particle_stepper` that :func:`run_particle_filter` prepares once
+    per run; it builds only the returned ensemble.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     dY = np.atleast_1d(np.asarray(dY, dtype=float))
-    x, lw, _, _ = _pf_cycle(
-        model, obs, ens.positions, ens.log_weights, dY, dt,
-        model.noise_dim(ens.positions[0]), rng.generator(), resample_threshold,
+    x = ens.positions
+    step = _particle_stepper(
+        model, obs, x.shape, model.noise_dim(x[0]), dt, resample_threshold
     )
+    x, lw, _, _, _ = step(x, ens.log_weights, None, None, dY, rng.generator())
     return ParticleEnsemble(positions=x, log_weights=lw)
 
 
@@ -359,39 +427,54 @@ def run_particle_filter(
     by :func:`ksp_residual` are registered under "phi", "A_phi", "phi_h",
     "h".  Deterministic given (rng, n_particles, record).
 
-    The particles live as bare position and log-weight arrays between steps:
-    only the initial ensemble is built.  Step k draws from
-    ``rng.substream(k + 1)`` exactly as ``pf_step`` does, and each recorded
-    moment and ESS uses the weights the cycle exponentiated once, so the
-    series equal a fold of ``pf_step`` recorded with ``pf_estimate`` and
-    ``ess``, bit for bit.
+    The particles live as bare position and log-weight arrays between steps,
+    in the buffers of one :func:`_particle_stepper` made for the run: only
+    the initial ensemble is built.  Step k draws from ``rng.substream(k + 1)``
+    exactly as ``pf_step`` does.  Each callback is evaluated once per step:
+    a(x_k) and sigma(x_k) feed both the recorded "A_phi" (through
+    ``sde._generator_form``, the form :func:`generator_values` uses) and
+    the next Euler step, and the sensor values of the reweight give "phi_h"
+    and "h"; a step that resamples evaluates the sensor again at the new
+    positions.  So drift, diffusion factor and sensor must be deterministic
+    functions of the state (see :class:`~ksplab.sde.DiffusionModel`).  Each
+    recorded moment and ESS uses the weights the cycle exponentiated once,
+    so the series equal a fold of ``pf_step`` recorded with ``pf_estimate``
+    (and :func:`ksp_moment_functions`) and ``ess``, bit for bit.
     """
     phis = dict(phis if phis is not None else default_test_functions())
     if ksp_phi is not None:
-        phis.update(ksp_moment_functions(model, obs_model, *ksp_phi))
+        phis.update(dict.fromkeys(_KSP_KEYS))  # no callable: these come from _ksp_values
 
     ens = pf_init(model.initial_law, n_particles, rng.substream(0))
     n_times = obs_path.times.size
     moments = {name: np.empty(n_times) for name in phis}
     ess_series = np.empty(n_times)
-
-    def record(k, x, w, n_eff):
-        for name, phi in phis.items():
-            moments[name][k] = float(np.dot(w, _phi_values(x, phi)))
-        ess_series[k] = n_eff
-
-    x, lw = ens.positions, ens.log_weights
-    w = ens.weights
-    record(0, x, w, 1.0 / np.sum(w**2))
     dt = obs_path.dt
     if dt <= 0:
         raise ValueError("dt must be positive")
-    q = model.noise_dim(x[0])
-    for k, dy in enumerate(obs_path.increments):
-        x, lw, w, n_eff = _pf_cycle(
-            model, obs_model, x, lw, dy, dt, q, rng.substream(k + 1).generator(), resample_threshold
-        )
-        record(k + 1, x, w, n_eff)
+    x, lw = ens.positions, ens.log_weights
+    step = _particle_stepper(
+        model, obs_model, x.shape, model.noise_dim(x[0]), dt, resample_threshold
+    )
+
+    w = ens.weights
+    n_eff = 1.0 / np.sum(w**2)
+    a = sig = h = None
+    for k in range(n_times):
+        if k:
+            x, lw, w, n_eff, h = step(
+                x, lw, a, sig, obs_path.increments[k - 1], rng.substream(k).generator()
+            )
+        if ksp_phi is not None or k + 1 < n_times:
+            a, sig = model.drift(x), model.diffusion_factor(x)
+        values = {name: phi(x) for name, phi in phis.items() if phi is not None}
+        if ksp_phi is not None:
+            if h is None:
+                h = obs_model.sensor_values(x)
+            values.update(_ksp_values(*ksp_phi, x, a, sig, h))
+        for name, vals in values.items():
+            moments[name][k] = float(np.dot(w, _checked_values(vals, x.shape[0])))
+        ess_series[k] = n_eff
     return FilterEstimate(times=obs_path.times.copy(), moments=moments, ess=ess_series)
 
 
@@ -586,7 +669,9 @@ def ksp_moment_functions(
 ) -> dict:
     """Pointwise integrands whose moment series feed :func:`ksp_residual`.
 
-    Keys: "phi", "A_phi", "phi_h", "h" (scalar observation).
+    Keys: "phi", "A_phi", "phi_h", "h" (scalar observation).  Each entry
+    evaluates the callbacks it needs at its states; :func:`_ksp_values`
+    gives the same values from a(x), sigma(x) and h(x) evaluated once.
     """
     def h_scalar(x):
         return obs_model.sensor_values(x)[..., 0]
@@ -596,6 +681,25 @@ def ksp_moment_functions(
         "A_phi": lambda x: generator_values(model, phi_grad, phi_hess, x),
         "phi_h": lambda x: np.asarray(phi(x)) * h_scalar(x),
         "h": h_scalar,
+    }
+
+
+_KSP_KEYS = ("phi", "A_phi", "phi_h", "h")
+
+
+def _ksp_values(phi, phi_grad, phi_hess, x, a, sig, h) -> dict:
+    """The :func:`ksp_moment_functions` integrands at ``x``, from a(x), sigma(x), h(x).
+
+    The bits of those entries, for deterministic callbacks: "A_phi" is
+    ``sde._generator_form``, which :func:`generator_values` evaluates.
+    """
+    phi_x = np.asarray(phi(x))
+    h_x = h[..., 0]
+    return {
+        "phi": phi_x,
+        "A_phi": _generator_form(a, sig, phi_grad(x), phi_hess(x)),
+        "phi_h": phi_x * h_x,
+        "h": h_x,
     }
 
 

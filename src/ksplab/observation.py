@@ -32,11 +32,13 @@ from .sde import simulate_ensemble  # noqa: F401
 class ObservationModel:
     """Sensor map h with unit-intensity additive observation noise.
 
-    ``sensor`` must be a deterministic function of the state alone: the
-    grid solver evaluates it once per run at its nodes.  The particle
-    filter calls it on the whole (N, d) ensemble every step, so, as for the
-    drift, prefer elementwise ops or ``np.dot`` to ``x @ M``, which is
-    6-10x slower with a trailing dimension of 1 (see ``sde.DiffusionModel``).
+    ``sensor`` must be a deterministic function of the state alone, because
+    its values are reused: the grid solver evaluates it once per run at its
+    nodes, and the particle filter once per step for both the weights and
+    the recorded "h" and "phi_h" moments.  The particle filter calls it on
+    the whole (N, d) ensemble every step, so, as for the drift, prefer
+    elementwise ops or ``np.dot`` to ``x @ M``, which is 6-10x slower with
+    a trailing dimension of 1 (see ``sde.DiffusionModel``).
     """
 
     dim_obs: int

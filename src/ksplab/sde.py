@@ -17,6 +17,7 @@ This lets ensembles of particles be advanced in single vectorized calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,9 +99,11 @@ class DiffusionModel:
     start, mostly to catch NaNs and shape bugs early).
 
     ``drift`` and ``diffusion_factor`` must be deterministic functions of
-    the state alone (no time, no randomness, no hidden state): the grid
-    solver evaluates them once per run at its nodes and reuses the values
-    on every substep.
+    the state alone (no time, no randomness, no hidden state), because
+    their values are reused: the grid solver evaluates them once per run at
+    its nodes for every substep, and the particle filter evaluates them
+    once per step at the particles, for both the recorded generator moment
+    and the next Euler step.
 
     The particle filter calls them on the whole (N, d) ensemble every step,
     so their per-call cost is paid once per step: write them with
@@ -139,11 +142,7 @@ class DiffusionModel:
         its bits equal the stacked matmul.  Any other factor takes the
         stacked matmul and returns a fresh array.
         """
-        sig = np.asarray(self.diffusion_factor(np.asarray(x, dtype=float)))
-        if sig.ndim > 2 and sig.size > 0 and not any(sig.strides[:-2]):
-            s0 = sig[(0,) * (sig.ndim - 2)]
-            return np.broadcast_to(s0 @ s0.T, sig.shape[:-1] + sig.shape[-2:-1])
-        return sig @ np.swapaxes(sig, -1, -2)
+        return _factor_product(self.diffusion_factor(np.asarray(x, dtype=float)))
 
     def validate_at(self, x) -> None:
         """Runtime invariant check on a sampled point: finite a, sigma; b symmetric PSD."""
@@ -160,6 +159,15 @@ class DiffusionModel:
                 raise ValueError("b(x) not symmetric")
             if np.min(np.linalg.eigvalsh(m)) < -1e-10:
                 raise ValueError("b(x) not positive semidefinite")
+
+
+def _factor_product(sig) -> np.ndarray:
+    """b = sigma sigma^T from diffusion-factor values, as ``diffusion_matrix`` returns it."""
+    sig = np.asarray(sig)
+    if sig.ndim > 2 and sig.size > 0 and not any(sig.strides[:-2]):
+        s0 = sig[(0,) * (sig.ndim - 2)]
+        return np.broadcast_to(s0 @ s0.T, sig.shape[:-1] + sig.shape[-2:-1])
+    return sig @ np.swapaxes(sig, -1, -2)
 
 
 def _check_time_grid(t: np.ndarray) -> None:
@@ -231,17 +239,44 @@ def simulate_path(model: DiffusionModel, horizon: float, dt: float, rng: RngStre
 
 
 def _euler_step(
-    model: DiffusionModel, x: np.ndarray, dt: float, q: int, gen: np.random.Generator
+    model: DiffusionModel,
+    x: np.ndarray,
+    dt: float,
+    q: int,
+    gen: np.random.Generator,
+    a: np.ndarray | None = None,
+    sig: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    dv: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """One vectorized Euler-Maruyama step of ``(N, d)`` states.
 
     Draws ``dv = standard_normal((N, q)) * sqrt(dt)`` and returns
-    ``x + a(x) dt + sigma(x) dv`` as a new array.  The caller checks the
-    result for finiteness and raises its own error.
+    ``x + a(x) dt + sigma(x) dv`` in ``out``.  The caller checks the result
+    for finiteness and raises its own error.
+
+    ``a`` and ``sig`` are a(x) and sigma(x) when the caller has evaluated
+    them already; the callbacks are called only for those not given.  This
+    holds the bits only because callbacks must be deterministic (see
+    :class:`DiffusionModel`).  ``out`` and ``noise`` (``(N, d)``) and ``dv``
+    (``(N, q)``) are C-contiguous float64 buffers for the result, sigma dv
+    and the draws; each one not given is allocated.  ``out`` must not share
+    memory with ``x``, ``a`` or ``sig``.  The sums are those of
+    ``x + a * dt + einsum(sig, dv)``, in that order.
     """
-    dv = gen.standard_normal((x.shape[0], q)) * np.sqrt(dt)
-    sig = np.asarray(model.diffusion_factor(x))
-    return x + np.asarray(model.drift(x)) * dt + np.einsum("...ij,...j->...i", sig, dv)
+    n = x.shape[0]
+    dv = gen.standard_normal((n, q)) if dv is None else gen.standard_normal(out=dv)
+    dv *= math.sqrt(dt)
+    if sig is None:
+        sig = model.diffusion_factor(x)
+    if a is None:
+        a = model.drift(x)
+    noise = np.einsum("...ij,...j->...i", np.asarray(sig), dv, out=noise)
+    out = np.multiply(a, dt, out=np.empty(x.shape) if out is None else out)
+    np.add(x, out, out=out)
+    out += noise
+    return out
 
 
 def _ensemble_states(model: DiffusionModel, n_paths: int, n: int, dt: float, rng: RngStream):
@@ -315,11 +350,23 @@ def generator_values(
 ) -> np.ndarray:
     """Vectorized A f over a batch of states ``x`` with shape (..., d)."""
     x = np.asarray(x, dtype=float)
-    a = np.asarray(model.drift(x))
-    g = np.asarray(f_grad(x))
-    h = np.asarray(f_hess(x))
-    b = model.diffusion_matrix(x)
-    return np.einsum("...i,...i->...", a, g) + 0.5 * np.einsum("...ij,...ji->...", b, h)
+    return _generator_form(model.drift(x), model.diffusion_factor(x), f_grad(x), f_hess(x))
+
+
+def _generator_form(a, sig, g, h) -> np.ndarray:
+    """A f = a.g + 1/2 trace(b h) from a(x), sigma(x), grad f(x), hess f(x) already evaluated.
+
+    ``b = sigma sigma^T`` as :meth:`DiffusionModel.diffusion_matrix` makes
+    it.  :func:`generator_values` and the particle filter's recorded
+    generator moment both evaluate A f through this one form.
+    """
+    a, g, h = np.asarray(a), np.asarray(g), np.asarray(h)
+    drift_part = np.einsum("...i,...i->...", a, g)
+    diffusion_part = np.einsum("...ij,...ji->...", _factor_product(sig), h)
+    # a.g + 0.5 * tr(b h), finished in place in einsum's two fresh results
+    diffusion_part *= 0.5
+    drift_part += diffusion_part
+    return drift_part
 
 
 def martingale_residual(
@@ -419,7 +466,8 @@ def linear_drift(F, f0) -> Callable[[np.ndarray], np.ndarray]:
     def drift(x):
         x = np.asarray(x)
         rows = np.dot(x.reshape(-1, FT.shape[0]), FT)
-        return rows.reshape(x.shape[:-1] + (FT.shape[1],)) + f0
+        rows += f0
+        return rows.reshape(x.shape[:-1] + (FT.shape[1],))
 
     return drift
 

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .filters import FilterEstimate, ParticleEnsemble, _reweight, _uniform_log_weights
+from .filters import (
+    FilterEstimate,
+    ParticleEnsemble,
+    _ParticleBuffers,
+    _reweight,
+    _uniform_log_weights,
+)
 from .rng import RngStream
 from .sde import InitialLaw, SimulationDivergenceError, _n_steps
 
@@ -310,9 +316,14 @@ def heston_filter(
     mean) and "x2" are recorded on the record grid; estimates at t_k use
     observations up to t_k.
 
-    The particles live as bare arrays: the reweight / normalize / resample
-    step is ``filters._reweight``, the cycle ``pf_step`` runs, and an
-    ensemble is built only for a requested snapshot.
+    The particles live as bare arrays in float64 buffers made once per run
+    (``filters._ParticleBuffers``, 64-byte aligned, plus the scratch of
+    ``variance_step``): the log-likelihood increment is written in place
+    with the operations, in the order, of
+    ``-0.5 * (resid**2 / var + log(2 pi var))``, and the reweight /
+    normalize / resample step is ``filters._reweight`` on the same buffers,
+    the cycle ``pf_step`` runs.  An ensemble is built only for a requested
+    snapshot.
 
     Returns the moment series; with ``snapshot_indices`` given, also a dict
     mapping each requested time index, which must lie in
@@ -332,8 +343,11 @@ def heston_filter(
         raise ValueError(f"snapshot_indices outside [0, {n}): {outside}")
 
     gen = rng.generator()
-    x = model.variance_prior().sample(n_particles, gen)[:, 0]
+    buffers = _ParticleBuffers((n_particles,))
+    x = buffers.positions[0]
+    x[:] = model.variance_prior().sample(n_particles, gen)[:, 0]
     lw = _uniform_log_weights(n_particles)
+    xp, drift, vol, db = (_kernels.aligned_empty(n_particles) for _ in range(4))
 
     mean_series = np.empty(n)
     m2_series = np.empty(n)
@@ -342,7 +356,7 @@ def heston_filter(
 
     def record(k, x, lw, w, n_eff):
         mean_series[k] = np.dot(w, x)
-        m2_series[k] = np.dot(w, x**2)
+        m2_series[k] = np.dot(w, np.square(x, out=xp))  # xp is free between steps
         ess_series[k] = n_eff
         if k in wanted:
             snapshots[k] = ParticleEnsemble(positions=x[:, None].copy(), log_weights=lw.copy())
@@ -351,17 +365,26 @@ def heston_filter(
     record(0, x, lw, w, 1.0 / np.sum(w**2))
     dy = np.diff(y)
     sqrt_dt = math.sqrt(dt)
-    xp, drift, vol = np.empty(n_particles), np.empty(n_particles), np.empty(n_particles)
+    two_pi = 2 * np.pi
+    var, incr = buffers.tmp, buffers.incr
     for k in range(n - 1):
         # weight with the transition density of the observed increment
-        var = np.maximum(x, _X_FLOOR) * dt
-        resid = dy[k] - (model.mu - 0.5 * x) * dt
-        log_incr = -0.5 * (resid**2 / var + np.log(2 * np.pi * var))
-        x, lw, w, n_eff = _reweight(x, lw, log_incr, gen, resample_threshold)
+        np.maximum(x, _X_FLOOR, out=var)
+        var *= dt
+        np.multiply(0.5, x, out=incr)
+        np.subtract(model.mu, incr, out=incr)
+        incr *= dt
+        np.subtract(dy[k], incr, out=incr)
+        np.square(incr, out=incr)
+        incr /= var
+        var *= two_pi
+        incr += np.log(var, out=var)
+        incr *= -0.5
+        x, lw, w, n_eff = _reweight(x, lw, incr, gen, resample_threshold, buffers)
 
         # mutate through the variance dynamics in place; the weights do not
         # change, so the cycle's w and ESS are those of the new x
-        db = gen.standard_normal(n_particles)
+        gen.standard_normal(out=db)
         db *= sqrt_dt
         _kernels.variance_step(x, db, dt, model.kappa, model.m, model.gamma, xp, drift, vol)
         record(k + 1, x, lw, w, n_eff)

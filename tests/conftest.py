@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 
@@ -139,3 +140,58 @@ def planar_sensor():
         dim_obs=2,
         sensor=lambda x: np.stack([np.sin(x[..., 0]) + x[..., 1], x[..., 0] * x[..., 1]], axis=-1),
     )
+
+
+def reference_heston_filter(
+    model, log_price, dt, n_particles, rng, resample_threshold, snapshot_indices
+):
+    """Frozen reference: ``stochvol.heston_filter``'s loop as it was written
+    before it took a workspace, allocating every temporary, with the shared
+    reweight / normalize / resample step written out inline.  The filter
+    must equal it bit for bit: moments, ESS and snapshots."""
+    from ksplab import _kernels
+    from ksplab.filters import ParticleEnsemble
+    from ksplab.stochvol import _X_FLOOR
+
+    y = np.asarray(log_price, dtype=float)
+    n = y.size
+    wanted = set(int(i) for i in snapshot_indices)
+    gen = rng.generator()
+    x = model.variance_prior().sample(n_particles, gen)[:, 0]
+    lw = np.full(n_particles, -np.log(n_particles))
+    mean_series, m2_series, ess_series = np.empty(n), np.empty(n), np.empty(n)
+    snapshots = {}
+
+    def record(k, x, lw, w, n_eff):
+        mean_series[k] = np.dot(w, x)
+        m2_series[k] = np.dot(w, x**2)
+        ess_series[k] = n_eff
+        if k in wanted:
+            snapshots[k] = ParticleEnsemble(positions=x[:, None].copy(), log_weights=lw.copy())
+
+    w = np.exp(lw)
+    record(0, x, lw, w, 1.0 / np.sum(w**2))
+    dy = np.diff(y)
+    sqrt_dt = math.sqrt(dt)
+    xp, drift, vol = np.empty(n_particles), np.empty(n_particles), np.empty(n_particles)
+    for k in range(n - 1):
+        var = np.maximum(x, _X_FLOOR) * dt
+        resid = dy[k] - (model.mu - 0.5 * x) * dt
+        log_incr = -0.5 * (resid**2 / var + np.log(2 * np.pi * var))
+        lw = lw + log_incr
+        m = lw.max()
+        lw = lw - (np.log(np.exp(lw - m).sum()) + m)
+        w = np.exp(lw)
+        n_eff = 1.0 / (w**2).sum()
+        if n_eff < resample_threshold * n_particles:
+            cw = np.cumsum(w)
+            cw[-1] = 1.0
+            x = x[_kernels.resample_indices(cw, float(gen.uniform()), n_particles)]
+            lw = np.full(n_particles, -np.log(n_particles))
+            w = np.exp(lw)
+            n_eff = 1.0 / (w**2).sum()
+        db = gen.standard_normal(n_particles)
+        db *= sqrt_dt
+        _kernels.variance_step(x, db, dt, model.kappa, model.m, model.gamma, xp, drift, vol)
+        record(k + 1, x, lw, w, n_eff)
+    return {"x": mean_series, "x2": m2_series}, ess_series, snapshots

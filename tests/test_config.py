@@ -179,6 +179,63 @@ class TestCrossKeyChecks:
         assert "'horizon'" in err.value.violations[0]
 
 
+class TestSubstreamLimits:
+    """Runs that would ask an RngStream for a substream index of 2**20 or more
+    are refused at validation; these tests validate only, running no scenario."""
+
+    DT = 2.0**-20  # exact in binary, so horizon / dt is an exact step count
+
+    @pytest.mark.parametrize("name", ["linear_compare", "heston_demo"])
+    def test_shipped_configs_validate(self, name):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", f"{name}.json")
+        with open(path) as fh:
+            assert parse_config(fh.read()).scenario == name
+
+    def test_linear_compare_last_admissible_step_count(self):
+        # step k draws from substream k + 1, so 2**20 - 1 steps is the most
+        horizon = (2**20 - 1) * self.DT
+        cfg = validate_config("linear_compare", {"horizon": horizon, "dt": self.DT})
+        assert cfg["horizon"] == horizon
+
+    @pytest.mark.parametrize(
+        "horizon, dt, n_steps", [(1.0, 2.0**-20, 2**20), (1.1, 1e-6, 1_100_000)]
+    )
+    def test_linear_compare_too_many_steps_rejected(self, horizon, dt, n_steps):
+        with pytest.raises(ConfigError) as err:
+            validate_config("linear_compare", {"horizon": horizon, "dt": dt})
+        assert err.value.violations == [
+            f"key 'horizon' = {horizon!r} at 'dt' = {dt!r} is {n_steps} steps; the particle "
+            f"filter draws each step from its own substream, so at most {2**20 - 1} steps can run"
+        ]
+
+    def test_heston_last_admissible_priced_sample(self):
+        # stride 1: 2**19 samples, the last priced at k = 2**19 - 1 draws from 2**20 - 1
+        horizon = (2**19 - 1) * self.DT
+        params = {"horizon": horizon, "dt": self.DT, "filter_stride": 1, "maturity": 2.0}
+        assert validate_config("heston_demo", params)["horizon"] == horizon
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_heston_too_many_priced_samples_rejected(self, stride):
+        # 2**19 * stride steps give 2**19 + 1 samples; the last would need 2**20 + 1
+        horizon = 0.5 * stride
+        params = {"horizon": horizon, "dt": self.DT, "filter_stride": stride, "maturity": 2.0}
+        with pytest.raises(ConfigError) as err:
+            validate_config("heston_demo", params)
+        assert err.value.violations == [
+            f"key 'horizon' = {horizon!r} at 'dt' = {self.DT!r} and 'filter_stride' = {stride} "
+            f"gives {2**19 + 1} filter samples; pricing at sample k draws from substream "
+            "2k + 1, so at most 524288 samples can be priced"
+        ]
+
+    @pytest.mark.parametrize("override", [{"maturity": 0.5}, {"n_price_times": 1}])
+    def test_heston_limit_only_where_pricing_reaches_it(self, override):
+        # no pricing when the maturity is not past the horizon; a single
+        # priced time is the first sample
+        params = {"horizon": 0.5, "dt": self.DT, "filter_stride": 1, "maturity": 2.0}
+        cfg = validate_config("heston_demo", {**params, **override})
+        assert cfg["horizon"] == 0.5
+
+
 class TestConfigHash:
     def test_hash_ignores_output_dir(self):
         a = validate_config("master_demo", {}, {"output_dir": "x"})

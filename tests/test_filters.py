@@ -42,6 +42,8 @@ from conftest import (
     constant_sensor,
     deterministic_model,
     identity_sensor,
+    planar_model,
+    planar_sensor,
     reference_fd_substep,
 )
 
@@ -361,6 +363,106 @@ class TestParticleRecording:
         model, sm, om, truth, obs = linear_setup(62, horizon=0.01)
         with pytest.raises(ValueError, match="phi must return shape"):
             run_particle_filter(sm, om, obs, 50, RngStream(62, 3), phis={"bad": lambda x: x})
+
+
+KSP_PHI_PLANAR = (
+    lambda x: np.sin(x[..., 0]) + x[..., 1] ** 2,
+    lambda x: np.stack([np.cos(x[..., 0]), 2.0 * x[..., 1]], axis=-1),
+    lambda x: np.stack(
+        [
+            np.stack([-np.sin(x[..., 0]), np.zeros_like(x[..., 0])], axis=-1),
+            np.stack([np.zeros_like(x[..., 0]), np.full_like(x[..., 0], 2.0)], axis=-1),
+        ],
+        axis=-2,
+    ),
+)
+
+
+class TestPlanarBitIdentity:
+    """Beyond the shipped 1-D models: d = q = 2 with a state-dependent
+    diffusion factor (diffusion_matrix's stacked matmul) and a nonlinear
+    2-D sensor.  Reusing a(x), sigma(x) and h(x) within a step must give
+    the bits of the pf_step fold, which evaluates every callback afresh."""
+
+    @pytest.mark.parametrize("seed", [81, 82])
+    @pytest.mark.parametrize("threshold", [0.99, 0.0])
+    def test_equals_fold_of_pf_step(self, seed, threshold):
+        sm, om = planar_model(), planar_sensor()
+        x = sm.initial_law.sample(4, np.random.default_rng(0))
+        sig = np.asarray(sm.diffusion_factor(x))
+        assert any(sig.strides[:-2])  # not the broadcast constant path
+        truth = simulate_path(sm, 0.2, 1e-3, RngStream(seed, 1))
+        obs = simulate_observation(om, truth, RngStream(seed, 2))
+        n = 300
+        est = run_particle_filter(
+            sm, om, obs, n, RngStream(seed, 3), ksp_phi=KSP_PHI_PLANAR, resample_threshold=threshold
+        )
+        moments, ess_ref = reference_particle_filter(
+            sm, om, obs, n, RngStream(seed, 3), ksp_phi=KSP_PHI_PLANAR, resample_threshold=threshold
+        )
+        assert list(est.moments) == list(moments)
+        for name in moments:
+            assert np.array_equal(est.moments[name], moments[name]), name
+        assert np.array_equal(est.ess, ess_ref)
+        resampled = np.sum(np.isclose(est.ess[1:], n, rtol=1e-12))
+        assert resampled > 0 if threshold > 0 else resampled == 0
+
+
+def counted(fn, counts, key):
+    def wrapper(x):
+        counts[key] += 1
+        return fn(x)
+
+    return wrapper
+
+
+class TestCallbackCounts:
+    """Each callback is evaluated once per step at the particles: a(x_k)
+    and sigma(x_k) serve both the recorded moment and the next Euler step,
+    and the reweight's sensor values serve "phi_h" and "h" unless the step
+    resampled."""
+
+    def counting_models(self):
+        model, sm, om, truth, obs = linear_setup(91, horizon=0.2)
+        counts = dict.fromkeys(("drift", "diffusion", "sensor"), 0)
+        csm = DiffusionModel(
+            dim_state=1,
+            drift=counted(sm.drift, counts, "drift"),
+            diffusion_factor=counted(sm.diffusion_factor, counts, "diffusion"),
+            initial_law=sm.initial_law,
+        )
+        com = ObservationModel(dim_obs=1, sensor=counted(om.sensor, counts, "sensor"))
+        return csm, com, obs, counts
+
+    @pytest.mark.parametrize("threshold", [0.99, 0.0])
+    @pytest.mark.parametrize("ksp_phi", [KSP_PHI_X, None])
+    def test_once_per_step(self, monkeypatch, ksp_phi, threshold):
+        sm, om, obs, counts = self.counting_models()
+        resamples = []
+        resample_indices = _kernels.resample_indices
+
+        def counting_resample(*args):
+            resamples.append(1)
+            return resample_indices(*args)
+
+        monkeypatch.setattr(_kernels, "resample_indices", counting_resample)
+        run_particle_filter(
+            sm, om, obs, 400, RngStream(91, 3), ksp_phi=ksp_phi, resample_threshold=threshold
+        )
+        n_steps = obs.increments.shape[0]
+        # 0.99 resamples on some steps and not on others
+        assert 0 < len(resamples) < n_steps if threshold > 0 else not resamples
+        if ksp_phi is not None:
+            # beyond one per step: noise_dim's sigma at one particle, a and
+            # sigma at the last recorded x_n (no step follows), h at x_0
+            # (recorded before any step), h at the copies after a resampling
+            assert counts == {
+                "drift": n_steps + 1,
+                "diffusion": n_steps + 2,
+                "sensor": n_steps + 1 + len(resamples),
+            }
+        else:
+            assert counts == {"drift": n_steps, "diffusion": n_steps + 1, "sensor": n_steps}
 
 
 def gaussian_grid(mean, var, x_lo=-6.0, x_hi=6.0, n=801):

@@ -4,7 +4,8 @@ systematic-resampling indices with copy counts within 1 of n w_i.  The
 scalar column stepper of heston_paths, the in-place variance step and the
 variance-only accumulating stepper must equal the array reference below bit
 for bit, the accumulating stepper whatever slabs of rows it is fed, and a NaN
-variance start propagates."""
+variance start propagates.  ``aligned_empty`` buffers start on a 64-byte
+boundary and are independent, writable float64 arrays."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksplab._kernels import (
+    aligned_empty,
     fd_substep,
     fd_workspace,
     heston_paths,
@@ -356,3 +358,22 @@ class TestResampleIndicesProperties:
         # systematic resampling: each atom's copy count is within 1 of n w_i
         counts = np.bincount(idx, minlength=w.size)
         assert np.all(np.abs(counts - n_out * owned) <= 1.0 + 1e-9)
+
+
+class TestAlignedEmpty:
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 3000), q=st.integers(1, 5), kind=st.sampled_from(["n", "n1", "nq"]))
+    def test_aligned_independent_writable_float64(self, n, q, kind):
+        shape = {"n": (n,), "n1": (n, 1), "nq": (n, q)}[kind]
+        buffers = [aligned_empty(shape) for _ in range(3)]
+        for buf in buffers:
+            assert buf.ctypes.data % 64 == 0
+            assert buf.dtype == np.float64
+            assert buf.shape == shape
+            assert buf.flags.c_contiguous and buf.flags.writeable
+        for i, buf in enumerate(buffers):
+            buf.fill(float(i))
+        for i, buf in enumerate(buffers):
+            assert np.all(buf == float(i))
+            for other in buffers[i + 1:]:
+                assert not np.shares_memory(buf, other)

@@ -20,6 +20,8 @@ from ksplab import (
     vol_recovery,
 )
 
+from conftest import reference_heston_filter
+
 
 def default_heston(**overrides):
     params = dict(kappa=2.0, m=0.04, gamma=0.3, mu=0.05, x0=0.04, s0=100.0)
@@ -474,3 +476,31 @@ class TestHestonFilterCycle:
             assert np.array_equal(snaps[k].log_weights, lw)
         resampled = np.sum(np.isclose(est.ess[1:], n, rtol=1e-12))
         assert resampled > 0 if threshold > 0 else resampled == 0
+
+
+class TestHestonFilterWorkspace:
+    """heston_filter writing its increment, weights and resampled particles
+    into buffers made once per run must give the bits of the loop frozen in
+    conftest, which allocates every temporary."""
+
+    @pytest.mark.parametrize("seed", [41, 42])
+    @pytest.mark.parametrize("threshold", [0.5, 0.99])
+    def test_equals_frozen_loop(self, seed, threshold):
+        model = default_heston(gamma=0.6)
+        paths = simulate_heston(model, 0.3, 1e-3, RngStream(seed, 1))
+        wanted = [0, 1, 120, 300]
+        est, snaps = heston_filter(
+            model, paths.log_price, 1e-3, 300, RngStream(seed, 2),
+            resample_threshold=threshold, snapshot_indices=wanted,
+        )
+        moments, ess_ref, snaps_ref = reference_heston_filter(
+            model, paths.log_price, 1e-3, 300, RngStream(seed, 2), threshold, wanted
+        )
+        assert np.array_equal(est.moments["x"], moments["x"])
+        assert np.array_equal(est.moments["x2"], moments["x2"])
+        assert np.array_equal(est.ess, ess_ref)
+        assert set(snaps) == set(snaps_ref) == set(wanted)
+        for k, ref in snaps_ref.items():
+            assert np.array_equal(snaps[k].positions, ref.positions)
+            assert np.array_equal(snaps[k].log_weights, ref.log_weights)
+        assert np.sum(np.isclose(est.ess[1:], 300, rtol=1e-12)) > 0
