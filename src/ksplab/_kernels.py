@@ -163,7 +163,7 @@ def fd_workspace(n):
     return (ap, bp, ap[:-1], ap[1:], bp[:-1], bp[1:], flux[1:-1], flux[:-1], flux[1:])
 
 
-def fd_substep(p, a_nodes, b_nodes, dt, cell, out=None, work=None):
+def fd_substep(p, a_nodes, b_nodes, dt, cell, out, work):
     """One conservative forward-Kolmogorov step with zero-flux boundaries.
 
     Face fluxes J_{i+1/2} = (ap_i + ap_{i+1})/2 - (bp_{i+1} - bp_i)/(2 cell)
@@ -172,15 +172,10 @@ def fd_substep(p, a_nodes, b_nodes, dt, cell, out=None, work=None):
     one ``p - coef * (J_right - J_left)`` updates every node, the boundary
     nodes included (``x - 0.0`` and ``0.0 - x`` are exact).
 
-    ``work`` is an ``fd_workspace(p.size)`` and ``out`` an (n,) float array,
-    which may be ``p`` itself; with both given the substep allocates nothing.
-    Without them it builds its own and returns a new array.  Returns ``out``.
+    ``p`` is an (n,) float64 array, ``work`` an ``fd_workspace(n)`` and
+    ``out`` an (n,) float64 array, which may be ``p`` itself; the substep
+    allocates nothing.  Returns ``out``.
     """
-    p = np.asarray(p, dtype=float)
-    if work is None:
-        work = fd_workspace(p.size)
-    if out is None:
-        out = np.empty_like(p)
     ap, bp, ap_lo, ap_hi, bp_lo, bp_hi, inner, flux_lo, flux_hi = work
     np.multiply(a_nodes, p, out=ap)
     np.multiply(b_nodes, p, out=bp)

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
+from .markov import rate_matrix_from_triplets
 from .rng import _SUBSTREAM_FACTOR
+from .sde import _n_steps
 
 
 class ConfigError(ValueError):
@@ -127,20 +128,31 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
     if scenario == "linear_compare" and invalid.isdisjoint({"x_lo", "x_hi"}):
         if p["x_lo"] >= p["x_hi"]:
             found.append(f"key 'x_lo' = {p['x_lo']!r} must be below 'x_hi' = {p['x_hi']!r}")
-    if scenario == "heston_demo" and invalid.isdisjoint({"window", "horizon", "dt"}):
-        # the path has ceil(horizon / dt) steps, as in stochvol.simulate_heston
-        n_samples = math.ceil(p["horizon"] / p["dt"] - 1e-9) + 1
-        if p["window"] >= n_samples:
-            found.append(
-                f"key 'window' = {p['window']!r} must be below the path's {n_samples} samples "
-                "(ceil(horizon / dt) + 1)"
-            )
-    heston_keys = {"horizon", "dt", "filter_stride", "maturity", "n_price_times"}
+    if scenario == "master_demo" and "rates" not in invalid:
+        try:
+            rate_matrix_from_triplets(p["rates"])
+        except ValueError as exc:
+            found.append(f"key 'rates': {exc}")
+    stepped = ("linear_compare", "novikov_check", "heston_demo")
+    if scenario not in stepped or not invalid.isdisjoint({"horizon", "dt"}):
+        return found
+    # each simulates sde._n_steps(horizon, dt) steps, which needs dt <= horizon
+    horizon, dt = p["horizon"], p["dt"]
+    try:
+        n_steps = _n_steps(horizon, dt)
+    except ValueError:
+        return found + [f"key 'dt' = {dt!r} must not exceed 'horizon' = {horizon!r}"]
+    if scenario == "heston_demo" and "window" not in invalid and p["window"] >= n_steps + 1:
+        found.append(
+            f"key 'window' = {p['window']!r} must be below the path's {n_steps + 1} samples "
+            "(ceil(horizon / dt) + 1)"
+        )
+    heston_keys = {"filter_stride", "maturity", "n_price_times"}
     if scenario == "heston_demo" and invalid.isdisjoint(heston_keys):
         # pricing at coarse index k draws from substream 2k + 1 (when the
         # maturity lies past the horizon), and the last priced index is the
         # last coarse sample unless only one time is priced
-        n_coarse = math.ceil(p["horizon"] / p["dt"] - 1e-9) // p["filter_stride"] + 1
+        n_coarse = n_steps // p["filter_stride"] + 1
         last = n_coarse - 1 if p["n_price_times"] > 1 else 0
         if p["maturity"] > p["horizon"] and 2 * last + 1 >= _SUBSTREAM_FACTOR:
             found.append(
@@ -149,26 +161,20 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
                 f"draws from substream 2k + 1, so at most {_SUBSTREAM_FACTOR // 2} samples "
                 "can be priced"
             )
-    if scenario in ("linear_compare", "novikov_check") and invalid.isdisjoint({"horizon", "dt"}):
-        # both simulate ceil(horizon / dt) Euler steps, with the guards of
-        # sde._n_steps; novikov_check's sum must also take whole steps, as a
-        # partial last step would integrate past the horizon
-        horizon, dt = p["horizon"], p["dt"]
-        n_steps = math.ceil(horizon / dt - 1e-9)
-        if dt > horizon * (1 + 1e-12):
-            found.append(f"key 'dt' = {dt!r} must not exceed 'horizon' = {horizon!r}")
-        elif scenario == "linear_compare" and n_steps >= _SUBSTREAM_FACTOR:
-            # the particle filter draws step k from substream k + 1
-            found.append(
-                f"key 'horizon' = {horizon!r} at 'dt' = {dt!r} is {n_steps} steps; the "
-                f"particle filter draws each step from its own substream, so at most "
-                f"{_SUBSTREAM_FACTOR - 1} steps can run"
-            )
-        elif scenario == "novikov_check" and n_steps * dt > horizon * (1 + 1e-9):
-            found.append(
-                f"key 'horizon' = {horizon!r} must be a whole number of 'dt' = {dt!r} steps "
-                f"(ceil(horizon / dt) = {n_steps} steps reach {n_steps * dt:.6g})"
-            )
+    if scenario == "linear_compare" and n_steps >= _SUBSTREAM_FACTOR:
+        # the particle filter draws step k from substream k + 1
+        found.append(
+            f"key 'horizon' = {horizon!r} at 'dt' = {dt!r} is {n_steps} steps; the "
+            f"particle filter draws each step from its own substream, so at most "
+            f"{_SUBSTREAM_FACTOR - 1} steps can run"
+        )
+    if scenario == "novikov_check" and n_steps * dt > horizon * (1 + 1e-9):
+        # the sum must take whole steps, as a partial last step would
+        # integrate past the horizon
+        found.append(
+            f"key 'horizon' = {horizon!r} must be a whole number of 'dt' = {dt!r} steps "
+            f"(ceil(horizon / dt) = {n_steps} steps reach {n_steps * dt:.6g})"
+        )
     return found
 
 

@@ -11,21 +11,17 @@ import numpy as np
 
 from .filters import FilterEstimate
 from .kalman import GaussianBelief
-from .markov import RateMatrix
+from .markov import RateMatrix, rate_matrix_from_triplets
 from .observation import ObservationPath
 from .sde import SamplePath
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def write_csv(path, header: list[str], rows) -> None:
     table = np.asarray(rows, dtype=float)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        # a row of Python floats at a time: their repr is _fmt's, and no
-        # object copy of the whole table is held
+        # a row of Python floats at a time: no object copy of the whole
+        # table is held
         fh.writelines(",".join(map(repr, row.tolist())) + "\n" for row in table)
 
 
@@ -93,28 +89,16 @@ def estimates_to_csv(est: FilterEstimate, path) -> None:
 
 def rate_matrix_to_csv(W: RateMatrix, path) -> None:
     """(i, j, rate) triplets, 0-indexed, off-diagonal entries only."""
-    rows = []
-    for i in range(W.n_states):
-        for j in range(W.n_states):
-            if i != j:
-                rows.append([i, j, W.rates[i, j]])
     with open(path, "w", newline="\n") as fh:
         fh.write("i,j,rate\n")
-        for i, j, rate in rows:
-            fh.write(f"{int(i)},{int(j)},{_fmt(rate)}\n")
+        for i in range(W.n_states):
+            for j in range(W.n_states):
+                if i != j:
+                    fh.write(f"{i},{j},{float(W.rates[i, j])!r}\n")
 
 
 def rate_matrix_from_csv(path) -> RateMatrix:
-    from .markov import rate_matrix_from_triplets
-
-    triplets = []
-    with open(path, "r", newline="\n") as fh:
-        fh.readline()  # header
-        for line in fh:
-            if line.strip():
-                i, j, rate = line.rstrip("\n").split(",")
-                triplets.append((int(i), int(j), float(rate)))
-    return rate_matrix_from_triplets(triplets)
+    return rate_matrix_from_triplets(read_csv(path)[1])
 
 
 def matrix_to_csv(mat: np.ndarray, path) -> None:

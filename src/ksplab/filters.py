@@ -173,7 +173,10 @@ class GridDensity:
 
     @classmethod
     def from_initial_law(cls, law: InitialLaw, x_lo: float, x_hi: float, n_grid: int) -> "GridDensity":
-        """Project a 1-D initial law onto the grid and renormalize."""
+        """Project a 1-D initial law onto the grid and renormalize.
+
+        An atom goes to its nearest node, and must lie in ``[x_lo, x_hi]``.
+        """
         if law.dim != 1:
             raise ValueError("grid densities are 1-D")
         nodes = np.linspace(x_lo, x_hi, n_grid)
@@ -182,12 +185,18 @@ class GridDensity:
             mu = law.params["mean"][0]
             var = law.params["cov"][0, 0]
             vals = np.exp(-0.5 * (nodes - mu) ** 2 / var) / np.sqrt(2 * np.pi * var)
-        elif law.kind == "point_mass":
-            vals = np.zeros(n_grid)
-            vals[int(np.argmin(np.abs(nodes - law.params["x0"][0])))] = 1.0 / cell
         else:
+            if law.kind == "point_mass":
+                atoms, weights = law.params["x0"], (1.0,)
+            else:
+                atoms, weights = law.params["points"][:, 0], law.params["weights"]
+            outside = ~((atoms >= x_lo) & (atoms <= x_hi))  # NaN is outside
+            if np.any(outside):
+                raise ValueError(
+                    f"initial atom {atoms[outside][0]:g} lies outside the grid [{x_lo:g}, {x_hi:g}]"
+                )
             vals = np.zeros(n_grid)
-            for point, w in zip(law.params["points"][:, 0], law.params["weights"]):
+            for point, w in zip(atoms, weights):
                 vals[int(np.argmin(np.abs(nodes - point)))] += w / cell
         return cls(nodes, vals).normalized()
 
@@ -229,13 +238,9 @@ def _checked_values(vals, n: int) -> np.ndarray:
     return vals
 
 
-def _phi_values(x: np.ndarray, phi: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    return _checked_values(phi(x), x.shape[0])
-
-
 def pf_estimate(ens: ParticleEnsemble, phi: Callable[[np.ndarray], np.ndarray]) -> float:
     """Weighted mean sum_i w_i phi(x_i); phi maps (n, d) -> (n,)."""
-    return float(ens.weights @ _phi_values(ens.positions, phi))
+    return float(ens.weights @ _checked_values(phi(ens.positions), ens.n))
 
 
 def ess(ens: ParticleEnsemble) -> float:
@@ -334,7 +339,6 @@ def _reweight(
 
 
 def _particle_stepper(
-    model: DiffusionModel,
     obs: ObservationModel,
     shape: tuple,
     q: int,
@@ -347,14 +351,14 @@ def _particle_stepper(
     :class:`_ParticleBuffers`, the ``(N, q)`` draws, sigma dV and h^2 (all
     64-byte aligned).  The returned ``step(x, lw, a, sig, dY, gen)`` takes
     the positions, their normalized log weights, and a(x) and sigma(x)
-    already evaluated (``None`` to have the step call the callback).  It
-    mutates by one :func:`sde._euler_step` into the spare position buffer,
-    evaluates the sensor once at the new positions, writes the log-weight
-    increment h.dY - |h|^2 dt / 2 in place and runs :func:`_reweight` on
-    the same buffers.  It returns ``(x, lw, w, ess, h)``: ``h`` is the
-    sensor at the returned ``x``, or ``None`` after a resampling, whose
-    positions the sensor has not seen.  ``x`` and ``h`` are valid until the
-    next call, which writes into the buffer ``x`` does not hold.
+    evaluated by the caller.  It mutates by one :func:`sde._euler_step`
+    into the spare position buffer, evaluates the sensor once at the new
+    positions, writes the log-weight increment h.dY - |h|^2 dt / 2 in place
+    and runs :func:`_reweight` on the same buffers.  It returns
+    ``(x, lw, w, ess, h)``: ``h`` is the sensor at the returned ``x``, or
+    ``None`` after a resampling, whose positions the sensor has not seen.
+    ``x`` and ``h`` are valid until the next call, which writes into the
+    buffer ``x`` does not hold.
     """
     buffers = _ParticleBuffers(shape)
     n = shape[0]
@@ -363,7 +367,7 @@ def _particle_stepper(
     finite = np.empty(shape, dtype=bool)
 
     def step(x, lw, a, sig, dY, gen):
-        x = _euler_step(model, x, dt, q, gen, a, sig, buffers.spare(x), dv, noise)
+        x = _euler_step(x, a, sig, dt, q, gen, buffers.spare(x), dv, noise)
         if not np.isfinite(x, out=finite).all():
             raise ValueError("particle mutation produced non-finite positions")
         h = obs.sensor_values(x)
@@ -403,10 +407,9 @@ def pf_step(
         raise ValueError("dt must be positive")
     dY = np.atleast_1d(np.asarray(dY, dtype=float))
     x = ens.positions
-    step = _particle_stepper(
-        model, obs, x.shape, model.noise_dim(x[0]), dt, resample_threshold
-    )
-    x, lw, _, _, _ = step(x, ens.log_weights, None, None, dY, rng.generator())
+    step = _particle_stepper(obs, x.shape, model.noise_dim(x[0]), dt, resample_threshold)
+    a, sig = model.drift(x), model.diffusion_factor(x)
+    x, lw, _, _, _ = step(x, ens.log_weights, a, sig, dY, rng.generator())
     return ParticleEnsemble(positions=x, log_weights=lw)
 
 
@@ -453,9 +456,7 @@ def run_particle_filter(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x, lw = ens.positions, ens.log_weights
-    step = _particle_stepper(
-        model, obs_model, x.shape, model.noise_dim(x[0]), dt, resample_threshold
-    )
+    step = _particle_stepper(obs_model, x.shape, model.noise_dim(x[0]), dt, resample_threshold)
 
     w = ens.weights
     n_eff = 1.0 / np.sum(w**2)
@@ -627,7 +628,7 @@ def run_grid_filter(
     nodes, cell = dens.nodes, dens.cell
     advance = _grid_stepper(model, obs_model, nodes, dt / n_sub, floor_cap)
     phi_nodes = np.array(
-        [_phi_values(nodes[:, None], phi) for phi in phis.values()]
+        [_checked_values(phi(nodes[:, None]), nodes.size) for phi in phis.values()]
     ).reshape(len(phis), nodes.size)
     phi_density = np.empty_like(phi_nodes)
 

@@ -186,15 +186,29 @@ def taylor_kernel_check(W: RateMatrix, tau_seq) -> TaylorKernelReport:
 
 
 def rate_matrix_from_triplets(triplets) -> RateMatrix:
-    """Build a RateMatrix from (i, j, rate) rows, 0-indexed."""
-    triplets = list(triplets)
-    if not triplets:
+    """Build a RateMatrix from (i, j, rate) rows, 0-indexed.
+
+    Each row holds exactly three entries, and i and j are nonnegative whole
+    numbers (``1.0`` counts, so the float rows of a CSV table parse).  A
+    malformed row raises ``ValueError`` with its position.
+    """
+    entries = []
+    for k, row in enumerate(triplets):
+        try:
+            i, j, rate = (float(v) for v in row)
+        except (TypeError, ValueError):
+            raise ValueError(f"rate entry {k} is not an (i, j, rate) triple") from None
+        if not all(v >= 0 and v.is_integer() for v in (i, j)):
+            raise ValueError(
+                f"rate entry {k} has state indices ({i:g}, {j:g}); both must be "
+                "nonnegative whole numbers"
+            )
+        entries.append((int(i), int(j), rate))
+    if not entries:
         raise ValueError("no rate entries given")
-    n = 1 + max(max(int(i), int(j)) for i, j, _ in triplets)
+    n = 1 + max(max(i, j) for i, j, _ in entries)
     rates = np.zeros((n, n))
-    for i, j, rate in triplets:
-        i, j = int(i), int(j)
-        if i == j:
-            continue  # diagonal ignored by convention
-        rates[i, j] = float(rate)
+    for i, j, rate in entries:
+        if i != j:  # diagonal ignored by convention
+            rates[i, j] = rate
     return RateMatrix(rates=rates)

@@ -239,39 +239,32 @@ def simulate_path(model: DiffusionModel, horizon: float, dt: float, rng: RngStre
 
 
 def _euler_step(
-    model: DiffusionModel,
     x: np.ndarray,
+    a: np.ndarray,
+    sig: np.ndarray,
     dt: float,
     q: int,
     gen: np.random.Generator,
-    a: np.ndarray | None = None,
-    sig: np.ndarray | None = None,
     out: np.ndarray | None = None,
     dv: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """One vectorized Euler-Maruyama step of ``(N, d)`` states.
 
-    Draws ``dv = standard_normal((N, q)) * sqrt(dt)`` and returns
-    ``x + a(x) dt + sigma(x) dv`` in ``out``.  The caller checks the result
-    for finiteness and raises its own error.
+    ``a`` and ``sig`` are a(x) and sigma(x), evaluated by the caller.  Draws
+    ``dv = standard_normal((N, q)) * sqrt(dt)`` and returns
+    ``x + a dt + sig dv`` in ``out``.  The caller checks the result for
+    finiteness and raises its own error.
 
-    ``a`` and ``sig`` are a(x) and sigma(x) when the caller has evaluated
-    them already; the callbacks are called only for those not given.  This
-    holds the bits only because callbacks must be deterministic (see
-    :class:`DiffusionModel`).  ``out`` and ``noise`` (``(N, d)``) and ``dv``
-    (``(N, q)``) are C-contiguous float64 buffers for the result, sigma dv
-    and the draws; each one not given is allocated.  ``out`` must not share
-    memory with ``x``, ``a`` or ``sig``.  The sums are those of
+    ``out`` and ``noise`` (``(N, d)``) and ``dv`` (``(N, q)``) are
+    C-contiguous float64 buffers for the result, sigma dv and the draws;
+    each one not given is allocated.  ``out`` must not share memory with
+    ``x``, ``a`` or ``sig``.  The sums are those of
     ``x + a * dt + einsum(sig, dv)``, in that order.
     """
     n = x.shape[0]
     dv = gen.standard_normal((n, q)) if dv is None else gen.standard_normal(out=dv)
     dv *= math.sqrt(dt)
-    if sig is None:
-        sig = model.diffusion_factor(x)
-    if a is None:
-        a = model.drift(x)
     noise = np.einsum("...ij,...j->...i", np.asarray(sig), dv, out=noise)
     out = np.multiply(a, dt, out=np.empty(x.shape) if out is None else out)
     np.add(x, out, out=out)
@@ -292,7 +285,7 @@ def _ensemble_states(model: DiffusionModel, n_paths: int, n: int, dt: float, rng
     q = model.noise_dim(x[0])
     yield x
     for k in range(n):
-        x = _euler_step(model, x, dt, q, gen)
+        x = _euler_step(x, model.drift(x), model.diffusion_factor(x), dt, q, gen)
         if not np.all(np.isfinite(x)):
             raise SimulationDivergenceError(k + 1)
         yield x

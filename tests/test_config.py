@@ -172,6 +172,36 @@ class TestCrossKeyChecks:
         cfg = validate_config("linear_compare", {}, {"horizon": horizon, "dt": dt})
         assert (cfg["horizon"], cfg["dt"]) == (horizon, dt)
 
+    @pytest.mark.parametrize("horizon, dt", [(0.1, 0.5), (0.5, 0.5 + 1e-10), (0.002, 0.003)])
+    def test_heston_dt_must_not_exceed_horizon(self, horizon, dt):
+        # reported as the step rule it breaks, not as a window above the path's samples
+        with pytest.raises(ConfigError) as err:
+            validate_config("heston_demo", {}, {"horizon": horizon, "dt": dt})
+        assert err.value.violations == [
+            f"key 'dt' = {dt!r} must not exceed 'horizon' = {horizon!r}"
+        ]
+
+    def test_shipped_master_config_validates(self):
+        path = os.path.join(os.path.dirname(__file__), "..", "configs", "master_demo.json")
+        with open(path) as fh:
+            cfg = parse_config(fh.read())
+        assert cfg["rates"] == [[0, 1, 1.0], [1, 0, 3.0]]
+
+    @pytest.mark.parametrize(
+        "rates, problem",
+        [
+            ([[-1, 0, 2.0], [0, 1, 1.0]], "rate entry 0 has state indices (-1, 0)"),
+            ([[0, 1, 1.0], [0.7, 1, 2.0]], "rate entry 1 has state indices (0.7, 1)"),
+            ([[0, 1, 1.0], [1, 0]], "rate entry 1 is not an (i, j, rate) triple"),
+        ],
+    )
+    def test_master_malformed_rates_rejected(self, rates, problem):
+        # as an index, -1 would wrap to the last state and 0.7 truncate to state 0
+        with pytest.raises(ConfigError) as err:
+            validate_config("master_demo", {"rates": rates})
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"key 'rates': {problem}")
+
     def test_linear_compare_dt_rule_skipped_when_horizon_invalid(self):
         with pytest.raises(ConfigError) as err:
             validate_config("linear_compare", {"horizon": -1.0, "dt": 0.5})

@@ -176,3 +176,14 @@ def test_rate_matrix_round_trip(tmp_path):
     assert f.read_text().splitlines()[0] == "i,j,rate"
     back = rate_matrix_from_csv(f)
     assert np.array_equal(back.rates, W.rates)
+
+
+def test_rate_matrix_csv_rows_checked(tmp_path):
+    # the rows go through read_csv and rate_matrix_from_triplets
+    f = tmp_path / "rates.csv"
+    f.write_text("i,j,rate\n0,1,1.0\n0.5,0,3.0\n")
+    with pytest.raises(ValueError, match=r"rate entry 1 has state indices \(0.5, 0\)"):
+        rate_matrix_from_csv(f)
+    f.write_text("i,j,rate\n0,1,1.0\n1,0\n")
+    with pytest.raises(ValueError, match="line 3 has 2 values, the header has 3"):
+        rate_matrix_from_csv(f)

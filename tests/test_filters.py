@@ -823,6 +823,31 @@ class TestGridErrorPaths:
         assert np.array_equal(out, expected, equal_nan=True)
 
 
+class TestGridInitialLaw:
+    """Atoms go to their nearest node; one outside the grid is refused, not
+    moved onto an end node."""
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            InitialLaw.point_mass([10.0]),
+            InitialLaw.point_mass([-6.5]),
+            InitialLaw.empirical([[0.0], [7.0]], [0.5, 0.5]),
+        ],
+    )
+    def test_atom_outside_the_grid_rejected(self, law):
+        with pytest.raises(ValueError, match="outside the grid"):
+            GridDensity.from_initial_law(law, -6.0, 6.0, 121)
+
+    def test_atoms_on_the_ends_accepted(self):
+        law = InitialLaw.empirical([[-6.0], [6.0]], [0.25, 0.75])
+        dens = GridDensity.from_initial_law(law, -6.0, 6.0, 121)
+        assert dens.values[0] > 0 and dens.values[-1] == 3 * dens.values[0]
+        assert np.count_nonzero(dens.values) == 2
+        point = GridDensity.from_initial_law(InitialLaw.point_mass([6.0]), -6.0, 6.0, 121)
+        assert np.nonzero(point.values)[0].tolist() == [120]
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_grid_density_values(self, bad):

@@ -206,6 +206,28 @@ class TestTripletsRoundTrip:
         assert W.rates[0, 1] == 2.0
         assert W.rates[2, 0] == 0.5
 
+    def test_whole_float_indices_accepted(self):
+        W = rate_matrix_from_triplets([(0.0, 1.0, 2.0), (np.int64(1), np.float64(0.0), 0.5)])
+        assert W.rates.tolist() == [[0.0, 2.0], [0.5, 0.0]]
+
+    @pytest.mark.parametrize(
+        "triplets",
+        [
+            [(-1, 0, 2.0), (0, 1, 1.0)],
+            [(0.7, 1, 2.0)],
+            [(0, 1.5, 2.0)],
+            [(0, 1, 2.0), (1, float("nan"), 1.0)],
+            [("a", 0, 1.0)],
+            [(0, 1)],
+            [(0, 1, 2.0, 3.0)],
+            [(0, 1, None)],
+            [5],
+        ],
+    )
+    def test_malformed_rows_rejected(self, triplets):
+        with pytest.raises(ValueError, match="rate entry"):
+            rate_matrix_from_triplets(triplets)
+
     def test_diagonal_entries_ignored(self):
         W = rate_matrix_from_triplets([(0, 0, 9.0), (0, 1, 1.0), (1, 0, 1.0)])
         assert W.rates[0, 0] == 0.0
