@@ -21,12 +21,6 @@ about 12,000 of them.  It writes into caller-owned buffers (``out`` and a
 workspace from ``fd_workspace``, built once per run), so a substep
 allocates and slices nothing.
 
-``aligned_empty`` makes the particle filters' per-run buffers.  Their data
-start on a 64-byte boundary: numpy's SIMD loops run fastest there, and a
-plain ``np.empty`` starts wherever the allocator puts it (on a 2-vCPU
-AVX-512 host, ``np.add`` into 10^4 float64 took 3.0-3.3 us at a 64-byte
-boundary against 5.6-6.2 us at the other three 16-byte offsets).
-
 ``BACKEND`` names the implementation; it is always ``"numpy"`` and stamps
 each run's manifest.
 """
@@ -37,24 +31,6 @@ from array import array
 import numpy as np
 
 BACKEND = "numpy"
-
-_ALIGN = 64  # bytes: one cache line, one AVX-512 register
-
-
-def aligned_empty(shape):
-    """Uninitialized C-contiguous float64 array whose data start on a 64-byte boundary.
-
-    Cut from a byte buffer 64 bytes longer than needed, at the first
-    aligned offset; the array keeps that buffer alive through ``.base``.
-    The cut holds at least one value, because numpy does not move the data
-    pointer of an empty slice.
-    """
-    shape = tuple(int(n) for n in np.atleast_1d(shape))
-    size = math.prod(shape)
-    nbytes = max(size, 1) * 8
-    raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
-    start = -raw.ctypes.data % _ALIGN
-    return raw[start:start + nbytes].view(np.float64)[:size].reshape(shape)
 
 
 def _heston_column(x0, y0, db, dw, dt, kappa, m, gamma, mu):

@@ -107,7 +107,8 @@ SCENARIO_SCHEMAS: dict[str, dict[str, Key]] = {
         "strike": Key(float, default=100.0, lo=1e-12),
         "maturity": Key(float, default=1.0, lo=1e-6),
         "rate": Key(float, default=0.0),
-        "n_particles": Key(int, default=500, lo=2),
+        # filtered_option_price draws particle i from substream i
+        "n_particles": Key(int, default=500, lo=2, hi=_SUBSTREAM_FACTOR),
         "inner_paths": Key(int, default=64, lo=2),
         "inner_dt": Key(float, default=5e-3, lo=1e-9),
     },

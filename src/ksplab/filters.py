@@ -275,19 +275,17 @@ def _resample_with_offset(
 class _ParticleBuffers:
     """The float64 arrays a particle run writes every step, made once.
 
-    Each comes from :func:`_kernels.aligned_empty`, so its data start on a
-    64-byte boundary whatever the allocator does.  ``positions`` holds two
-    buffers shaped like the particles: a mutation or a resampling writes
-    into the one its input does not occupy (:meth:`spare`), so the two
-    alternate.  ``lw``, ``w``, ``incr`` and ``tmp`` hold one value per
-    particle: the log weights, the weights, the log-likelihood increment
-    and scratch.
+    ``positions`` holds two buffers shaped like the particles: a mutation
+    or a resampling writes into the one its input does not occupy
+    (:meth:`spare`), so the two alternate.  ``lw``, ``w``, ``incr`` and
+    ``tmp`` hold one value per particle: the log weights, the weights, the
+    log-likelihood increment and scratch.
     """
 
     def __init__(self, shape: tuple):
-        self.positions = (_kernels.aligned_empty(shape), _kernels.aligned_empty(shape))
+        self.positions = (np.empty(shape), np.empty(shape))
         n = shape[0]
-        self.lw, self.w, self.incr, self.tmp = (_kernels.aligned_empty(n) for _ in range(4))
+        self.lw, self.w, self.incr, self.tmp = (np.empty(n) for _ in range(4))
 
     def spare(self, x: np.ndarray) -> np.ndarray:
         """The position buffer that does not hold ``x``."""
@@ -348,13 +346,13 @@ def _particle_stepper(
     """Prepare mutate / reweight / maybe-resample cycles of particles shaped ``shape``.
 
     Every float64 array a cycle writes is made here once: the
-    :class:`_ParticleBuffers`, the ``(N, q)`` draws, sigma dV and h^2 (all
-    64-byte aligned).  The returned ``step(x, lw, a, sig, dY, gen)`` takes
-    the positions, their normalized log weights, and a(x) and sigma(x)
-    evaluated by the caller.  It mutates by one :func:`sde._euler_step`
-    into the spare position buffer, evaluates the sensor once at the new
-    positions, writes the log-weight increment h.dY - |h|^2 dt / 2 in place
-    and runs :func:`_reweight` on the same buffers.  It returns
+    :class:`_ParticleBuffers`, the ``(N, q)`` draws, sigma dV and h^2.  The
+    returned ``step(x, lw, a, sig, dY, gen)`` takes the positions, their
+    normalized log weights, and a(x) and sigma(x) evaluated by the caller.
+    It mutates by one :func:`sde._euler_step` into the spare position
+    buffer, evaluates the sensor once at the new positions, writes the
+    log-weight increment h.dY - |h|^2 dt / 2 in place and runs
+    :func:`_reweight` on the same buffers.  It returns
     ``(x, lw, w, ess, h)``: ``h`` is the sensor at the returned ``x``, or
     ``None`` after a resampling, whose positions the sensor has not seen.
     ``x`` and ``h`` are valid until the next call, which writes into the
@@ -362,8 +360,8 @@ def _particle_stepper(
     """
     buffers = _ParticleBuffers(shape)
     n = shape[0]
-    dv, noise = _kernels.aligned_empty((n, q)), _kernels.aligned_empty(shape)
-    hh = _kernels.aligned_empty((n, obs.dim_obs))
+    dv, noise = np.empty((n, q)), np.empty(shape)
+    hh = np.empty((n, obs.dim_obs))
     finite = np.empty(shape, dtype=bool)
 
     def step(x, lw, a, sig, dY, gen):

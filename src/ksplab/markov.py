@@ -189,8 +189,10 @@ def rate_matrix_from_triplets(triplets) -> RateMatrix:
     """Build a RateMatrix from (i, j, rate) rows, 0-indexed.
 
     Each row holds exactly three entries, and i and j are nonnegative whole
-    numbers (``1.0`` counts, so the float rows of a CSV table parse).  A
-    malformed row raises ``ValueError`` with its position.
+    numbers (``1.0`` counts, so the float rows of a CSV table parse) below
+    twice the number of rows: N rows name at most 2N states, and a state no
+    row names would make the chain reducible.  A malformed row raises
+    ``ValueError`` with its position, before the matrix is allocated.
     """
     entries = []
     for k, row in enumerate(triplets):
@@ -206,6 +208,13 @@ def rate_matrix_from_triplets(triplets) -> RateMatrix:
         entries.append((int(i), int(j), rate))
     if not entries:
         raise ValueError("no rate entries given")
+    bound = 2 * len(entries)
+    for k, (i, j, _) in enumerate(entries):
+        if max(i, j) >= bound:
+            raise ValueError(
+                f"rate entry {k} has state indices ({i}, {j}); both must be below "
+                f"{bound}, twice the number of entries"
+            )
     n = 1 + max(max(i, j) for i, j, _ in entries)
     rates = np.zeros((n, n))
     for i, j, rate in entries:

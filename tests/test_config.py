@@ -193,6 +193,7 @@ class TestCrossKeyChecks:
             ([[-1, 0, 2.0], [0, 1, 1.0]], "rate entry 0 has state indices (-1, 0)"),
             ([[0, 1, 1.0], [0.7, 1, 2.0]], "rate entry 1 has state indices (0.7, 1)"),
             ([[0, 1, 1.0], [1, 0]], "rate entry 1 is not an (i, j, rate) triple"),
+            ([[0, 3000, 1.0], [3000, 0, 1.0]], "rate entry 0 has state indices (0, 3000)"),
         ],
     )
     def test_master_malformed_rates_rejected(self, rates, problem):
@@ -264,6 +265,17 @@ class TestSubstreamLimits:
         params = {"horizon": 0.5, "dt": self.DT, "filter_stride": 1, "maturity": 2.0}
         cfg = validate_config("heston_demo", {**params, **override})
         assert cfg["horizon"] == 0.5
+
+    def test_pricing_last_admissible_particle_count(self):
+        # filtered_option_price draws particle i from substream i
+        assert validate_config("pricing_demo", {"n_particles": 2**20})["n_particles"] == 2**20
+
+    def test_pricing_too_many_particles_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            validate_config("pricing_demo", {"n_particles": 2**20 + 1})
+        assert err.value.violations == [
+            f"key 'n_particles' = {2**20 + 1} above admissible maximum {2**20}"
+        ]
 
 
 class TestConfigHash:

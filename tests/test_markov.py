@@ -222,6 +222,7 @@ class TestTripletsRoundTrip:
             [(0, 1, 2.0, 3.0)],
             [(0, 1, None)],
             [5],
+            [(0, 3000, 1.0), (3000, 0, 1.0)],
         ],
     )
     def test_malformed_rows_rejected(self, triplets):
