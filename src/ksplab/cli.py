@@ -7,7 +7,8 @@ Precedence for every configuration key: command-line flag > config file >
 documented default.  The only environment override is KSP_LAB_OUT for the
 output directory (it sits between flags and the config file).  Exit code 0
 iff every scenario-internal assertion passes; otherwise the first failed
-criterion is named on stderr.
+criterion is named on stderr.  A run that raises exits 1 with the
+exception's type and message on stderr.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_scenario(cfg)
-    except Exception as exc:  # propagate with the failing module named
-        print(f"{cfg.scenario} failed in {type(exc).__module__}: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(f"{cfg.scenario} failed with {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     for check in report.checks:

@@ -129,6 +129,12 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
     if scenario == "linear_compare" and invalid.isdisjoint({"x_lo", "x_hi"}):
         if p["x_lo"] >= p["x_hi"]:
             found.append(f"key 'x_lo' = {p['x_lo']!r} must be below 'x_hi' = {p['x_hi']!r}")
+    if scenario == "linear_compare" and "H" not in invalid and p["H"] == 0:
+        # the innovation-gain check divides by the Kalman gain R H
+        found.append(
+            f"key 'H' = {p['H']!r} must be nonzero: the innovation gain is compared "
+            "relative to the Kalman gain R H"
+        )
     if scenario == "master_demo" and "rates" not in invalid:
         try:
             rate_matrix_from_triplets(p["rates"])

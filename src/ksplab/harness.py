@@ -170,13 +170,74 @@ def _run_with_collapse_recovery(run, n_particles: int):
         return run(10 * n_particles), 10 * n_particles
 
 
+def _alongside(child_work, work):
+    """Return ``(child_work(), work())``, the first computed in a forked child.
+
+    The child runs ``child_work`` while this process runs ``work``, so two
+    CPU-bound Python loops that would take turns on the GIL in threads run
+    at once.  The child sends back ``(True, value)`` or ``(False,
+    exception)`` pickled through a pipe and ends with ``os._exit``, so no
+    atexit handler or inherited buffer runs twice; the parent raises the
+    child's exception as its own (as a ``RuntimeError`` naming its type if
+    it does not survive pickling).  If ``work`` raises, the child is killed,
+    and the child is always reaped before this returns or raises.  Where
+    ``os.fork`` does not exist both run here, one after the other.
+    """
+    if not hasattr(os, "fork"):
+        return child_work(), work()
+    import pickle  # imported here: no other scenario needs these two
+    import signal
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                data = pickle.dumps((True, child_work()), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:
+                try:
+                    data = pickle.dumps((False, exc))
+                    pickle.loads(data)  # the parent must be able to rebuild it
+                except Exception:
+                    data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        with os.fdopen(r, "rb") as fh:
+            value = work()
+            # read the whole pipe before waitpid: the payload outgrows a pipe buffer
+            try:
+                ok, child_value = pickle.load(fh)
+            except EOFError:
+                raise ChildProcessError(f"forked child {pid} ended without a result") from None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    if not ok:
+        raise child_value
+    return child_value, value
+
+
 # ---------------------------------------------------------------------------
 # linear_compare
 
 
 @_scenario
 def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
-    """Kalman-Bucy oracle vs particle and grid filters on one shared record."""
+    """Kalman-Bucy oracle vs particle and grid filters on one shared record.
+
+    Once the record is drawn the three layers share nothing: a forked child
+    runs the Kalman oracle and then the grid filter while this process runs
+    the particle filter (``_alongside``).  Every file is written here.
+    """
     seed = cfg.seed
 
     model = LinearModel(
@@ -191,31 +252,38 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
         obs = simulate_observation(obs_model, truth, RngStream(seed, STREAM_OBS))
 
     prior = GaussianBelief(mean=law.params["mean"], cov=law.params["cov"])
-    with report.timed("kalman"):
+
+    def oracles():
+        t0 = time.perf_counter()
         beliefs = run_kalman(model, obs, prior)
-    kal_mean = np.array([b.mean[0] for b in beliefs])
-    kal_var = np.array([b.cov[0, 0] for b in beliefs])
+        t1 = time.perf_counter()
+        grid = run_grid_filter(state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"])
+        return beliefs, grid, {"kalman": t1 - t0, "grid": time.perf_counter() - t1}
 
     phi = (lambda x: x[..., 0], lambda x: np.ones_like(x), lambda x: np.zeros(x.shape + (1,)))
-    with report.timed("particle"):
-        pf, n_used = _run_with_collapse_recovery(
-            lambda n: run_particle_filter(
-                state_model,
-                obs_model,
-                obs,
-                n,
-                RngStream(seed, STREAM_PF),
-                ksp_phi=phi,
-                resample_threshold=cfg["resample_threshold"],
-            ),
-            cfg["n_particles"],
-        )
+
+    def particle():
+        with report.timed("particle"):
+            return _run_with_collapse_recovery(
+                lambda n: run_particle_filter(
+                    state_model,
+                    obs_model,
+                    obs,
+                    n,
+                    RngStream(seed, STREAM_PF),
+                    ksp_phi=phi,
+                    resample_threshold=cfg["resample_threshold"],
+                ),
+                cfg["n_particles"],
+            )
+
+    (beliefs, grid, oracle_times), (pf, n_used) = _alongside(oracles, particle)
+    report.runtime.update(oracle_times)
+    kal_mean = np.array([b.mean[0] for b in beliefs])
+    kal_var = np.array([b.cov[0, 0] for b in beliefs])
     pf_mean = pf.moments["x"]
     pf_var = pf.moments["x2"] - pf_mean**2
     pf_gain = pf.moments["phi_h"] - pf.moments["phi"] * pf.moments["h"]
-
-    with report.timed("grid"):
-        grid = run_grid_filter(state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"])
     grid_mean = grid.moments["x"]
     grid_var = grid.moments["x2"] - grid_mean**2
 

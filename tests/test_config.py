@@ -89,6 +89,15 @@ class TestCrossKeyChecks:
         assert len(err.value.violations) == 1
         assert "'x_lo'" in err.value.violations[0] and "'x_hi'" in err.value.violations[0]
 
+    @pytest.mark.parametrize("H", [0.0, -0.0, 0])
+    def test_linear_compare_sensor_gain_must_be_nonzero(self, H):
+        # H = 0 would validate, then divide the innovation gain by R H = 0
+        with pytest.raises(ConfigError) as err:
+            validate_config("linear_compare", {"H": H})
+        assert len(err.value.violations) == 1
+        assert err.value.violations[0].startswith(f"key 'H' = {float(H)!r} must be nonzero")
+        assert validate_config("linear_compare", {"H": -0.5})["H"] == -0.5
+
     def test_window_must_be_below_the_sample_count(self):
         # horizon 0.05 at dt 1e-3 is 50 steps, 51 samples
         base = {"horizon": 0.05, "dt": 1e-3}

@@ -340,6 +340,77 @@ class TestNovikovConcurrency:
         assert set(threading.enumerate()) == set(before)
 
 
+def assert_no_child_left():
+    # waitpid(-1) raises only when this process has no child at all, zombies included
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class LayerFailed(ValueError):
+    """Raised by a patched filter layer; module level, so it pickles."""
+
+
+class TestOracleChild:
+    """linear_compare runs Kalman and the grid in a forked child while the
+    particle filter runs in the calling process."""
+
+    def test_timing_splits_and_no_child_left(self, tmp_out):
+        report = run_linear_compare(small_config("linear_compare", tmp_out))
+        assert report.passed, report.first_failure()
+        assert_no_child_left()
+        with open(os.path.join(tmp_out, "timing.json")) as fh:
+            timing = json.load(fh)
+        for name in ("simulate", "kalman", "particle", "grid"):
+            assert timing[name] > 0.0, name
+
+    def test_child_exception_raised_with_its_type_and_message(self, tmp_out, monkeypatch):
+        def grid(*args, **kwargs):
+            raise LayerFailed(f"grid failed in {os.getpid()}")
+
+        monkeypatch.setattr(harness, "run_grid_filter", grid)
+        with pytest.raises(LayerFailed) as err:
+            run_linear_compare(small_config("linear_compare", tmp_out))
+        message = str(err.value)
+        assert message.startswith("grid failed in ")
+        assert int(message.rsplit(" ", 1)[1]) != os.getpid()  # raised in the child
+        assert_no_child_left()
+        assert not os.path.exists(os.path.join(tmp_out, "report.csv"))
+
+    def test_unpicklable_child_exception_named_in_a_runtime_error(self, tmp_out, monkeypatch):
+        class LocalFailure(ValueError):
+            pass
+
+        def grid(*args, **kwargs):
+            raise LocalFailure("grid failed")
+
+        monkeypatch.setattr(harness, "run_grid_filter", grid)
+        with pytest.raises(RuntimeError, match="^LocalFailure: grid failed$"):
+            run_linear_compare(small_config("linear_compare", tmp_out))
+        assert_no_child_left()
+
+    def test_particle_failure_kills_and_reaps_the_child(self, tmp_out, monkeypatch):
+        def particle(*args, **kwargs):
+            raise LayerFailed("particle filter failed")
+
+        monkeypatch.setattr(harness, "run_particle_filter", particle)
+        with pytest.raises(LayerFailed, match="^particle filter failed$"):
+            run_linear_compare(small_config("linear_compare", tmp_out))
+        assert_no_child_left()
+
+    def test_inline_without_fork_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        forked = str(tmp_path / "forked")
+        run_linear_compare(small_config("linear_compare", forked))
+        monkeypatch.delattr(os, "fork")
+        inline = str(tmp_path / "inline")
+        report = run_linear_compare(small_config("linear_compare", inline))
+        assert set(report.runtime) == TIMING_SPLITS["linear_compare"]
+        names = sorted(os.listdir(forked))
+        assert names == sorted(os.listdir(inline))
+        for name in names:
+            if name != "timing.json":
+                assert read_bytes(forked, name) == read_bytes(inline, name), name
+
+
 class TestCli:
     def test_list_enumerates_scenarios(self):
         proc = run_cli("list")
@@ -386,6 +457,7 @@ class TestCli:
         [
             ("linear_compare", ["x_lo=2.0", "x_hi=-2.0"], "x_lo"),
             ("heston_demo", ["horizon=0.05", "dt=1e-3", "window=51"], "window"),
+            ("linear_compare", ["H=0"], "'H'"),
         ],
     )
     def test_cross_key_violation_exit_2(self, scenario, sets, token, tmp_path):
@@ -415,6 +487,18 @@ class TestCli:
         )
         assert proc.returncode == 1
         assert "FAILED criterion" in proc.stderr
+
+    def test_raising_run_names_the_exception_type(self, tmp_path):
+        # without diffusion the grid's central advection floors too much mass
+        # and raises RuntimeError in the forked child; the CLI reports it
+        proc = run_cli(
+            "linear_compare", "--out", str(tmp_path / "out"),
+            "--set", "sigma=0", "--set", "prior_var=0.01", "--set", "horizon=0.2",
+            "--set", "n_grid=201", "--set", "n_particles=400",
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("linear_compare failed with RuntimeError: flooring removed")
+        assert "builtins" not in proc.stderr and "Traceback" not in proc.stderr
 
     def test_set_flag_overrides(self, tmp_path):
         out = str(tmp_path / "out")
