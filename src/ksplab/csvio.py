@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .filters import FilterEstimate
-from .kalman import GaussianBelief
 from .markov import RateMatrix, rate_matrix_from_triplets
 from .observation import ObservationPath
 from .sde import SamplePath
@@ -68,16 +67,18 @@ def observation_from_csv(path) -> ObservationPath:
     return ObservationPath(times=data[:, 0], values=values, increments=np.diff(values, axis=0))
 
 
-def beliefs_to_csv(times: np.ndarray, beliefs: list[GaussianBelief], path) -> None:
-    """Header t, xhat_1..xhat_d, then the upper covariance triangle row-major."""
-    d = beliefs[0].mean.size
+def beliefs_to_csv(times: np.ndarray, means: np.ndarray, covs: np.ndarray, path) -> None:
+    """Header t, xhat_1..xhat_d, then the upper covariance triangle row-major.
+
+    ``means`` stacks the (n, d) belief means and ``covs`` the (n, d, d)
+    covariances, one row per time.
+    """
+    means = np.asarray(means, dtype=float)
+    d = means.shape[1]
+    rows_i, cols_j = np.triu_indices(d)
     header = ["t"] + [f"xhat_{i + 1}" for i in range(d)]
-    header += [f"R_{i + 1}{j + 1}" for i in range(d) for j in range(i, d)]
-    rows = []
-    for t, b in zip(times, beliefs):
-        tri = [b.cov[i, j] for i in range(d) for j in range(i, d)]
-        rows.append([t, *b.mean, *tri])
-    write_csv(path, header, rows)
+    header += [f"R_{i + 1}{j + 1}" for i, j in zip(rows_i, cols_j)]
+    write_csv(path, header, np.column_stack([times, means, np.asarray(covs)[:, rows_i, cols_j]]))
 
 
 def estimates_to_csv(est: FilterEstimate, path) -> None:

@@ -170,21 +170,26 @@ def _run_with_collapse_recovery(run, n_particles: int):
         return run(10 * n_particles), 10 * n_particles
 
 
-def _alongside(child_work, work):
-    """Return ``(child_work(), work())``, the first computed in a forked child.
+def _alongside(child_work, work, on_item=None):
+    """Return ``(child_work(emit), work())``, the first computed in a forked child.
 
     The child runs ``child_work`` while this process runs ``work``, so two
     CPU-bound Python loops that would take turns on the GIL in threads run
-    at once.  The child sends back ``(True, value)`` or ``(False,
-    exception)`` pickled through a pipe and ends with ``os._exit``, so no
-    atexit handler or inherited buffer runs twice; the parent raises the
-    child's exception as its own (as a ``RuntimeError`` naming its type if
-    it does not survive pickling).  If ``work`` raises, the child is killed,
-    and the child is always reaped before this returns or raises.  Where
-    ``os.fork`` does not exist both run here, one after the other.
+    at once.  Before it returns, ``child_work`` may call ``emit(*item)`` any
+    number of times: each item goes through the pipe at once, and once
+    ``work`` has returned this process calls ``on_item(*item)`` for each in
+    order as it arrives, while the child works on.  The child's last message
+    is its value or the exception it raised, and it ends with ``os._exit``,
+    so no atexit handler or inherited buffer runs twice; the parent raises
+    the child's exception as its own (as a ``RuntimeError`` naming its type
+    if it does not survive pickling).  If ``work`` or ``on_item`` raises,
+    the child is killed, and the child is always reaped before this returns
+    or raises.  Where ``os.fork`` does not exist, ``work`` runs here and then
+    ``child_work`` with ``on_item`` as its ``emit``.
     """
     if not hasattr(os, "fork"):
-        return child_work(), work()
+        value = work()
+        return child_work(on_item), value
     import pickle  # imported here: no other scenario needs these two
     import signal
 
@@ -194,15 +199,21 @@ def _alongside(child_work, work):
         status = 1
         try:
             os.close(r)
-            try:
-                data = pickle.dumps((True, child_work()), pickle.HIGHEST_PROTOCOL)
-            except BaseException as exc:
-                try:
-                    data = pickle.dumps((False, exc))
-                    pickle.loads(data)  # the parent must be able to rebuild it
-                except Exception:
-                    data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
             with os.fdopen(w, "wb") as fh:
+
+                def emit(*item):
+                    # pickled whole before any byte is written
+                    fh.write(pickle.dumps(("item", item), pickle.HIGHEST_PROTOCOL))
+                    fh.flush()
+
+                try:
+                    data = pickle.dumps(("value", child_work(emit)), pickle.HIGHEST_PROTOCOL)
+                except BaseException as exc:
+                    try:
+                        data = pickle.dumps(("raised", exc))
+                        pickle.loads(data)  # the parent must be able to rebuild it
+                    except Exception:
+                        data = pickle.dumps(("raised", RuntimeError(f"{type(exc).__name__}: {exc}")))
                 fh.write(data)
             status = 0
         finally:
@@ -211,19 +222,23 @@ def _alongside(child_work, work):
     try:
         with os.fdopen(r, "rb") as fh:
             value = work()
-            # read the whole pipe before waitpid: the payload outgrows a pipe buffer
-            try:
-                ok, child_value = pickle.load(fh)
-            except EOFError:
-                raise ChildProcessError(f"forked child {pid} ended without a result") from None
+            # read the whole pipe before waitpid: the child blocks on a full pipe
+            while True:
+                try:
+                    kind, payload = pickle.load(fh)
+                except EOFError:
+                    raise ChildProcessError(f"forked child {pid} ended without a result") from None
+                if kind != "item":
+                    break
+                on_item(*payload)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
         os.waitpid(pid, 0)
-    if not ok:
-        raise child_value
-    return child_value, value
+    if kind == "raised":
+        raise payload
+    return payload, value
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +268,14 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
 
     prior = GaussianBelief(mean=law.params["mean"], cov=law.params["cov"])
 
-    def oracles():
+    def oracles(_emit):
         t0 = time.perf_counter()
         beliefs = run_kalman(model, obs, prior)
+        # two stacked arrays pickle back smaller than a belief object per time
+        kalman = np.array([b.mean for b in beliefs]), np.array([b.cov for b in beliefs])
         t1 = time.perf_counter()
         grid = run_grid_filter(state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"])
-        return beliefs, grid, {"kalman": t1 - t0, "grid": time.perf_counter() - t1}
+        return kalman, grid, {"kalman": t1 - t0, "grid": time.perf_counter() - t1}
 
     phi = (lambda x: x[..., 0], lambda x: np.ones_like(x), lambda x: np.zeros(x.shape + (1,)))
 
@@ -277,10 +294,10 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
                 cfg["n_particles"],
             )
 
-    (beliefs, grid, oracle_times), (pf, n_used) = _alongside(oracles, particle)
+    ((kal_means, kal_covs), grid, oracle_times), (pf, n_used) = _alongside(oracles, particle)
     report.runtime.update(oracle_times)
-    kal_mean = np.array([b.mean[0] for b in beliefs])
-    kal_var = np.array([b.cov[0, 0] for b in beliefs])
+    kal_mean = kal_means[:, 0]
+    kal_var = kal_covs[:, 0, 0]
     pf_mean = pf.moments["x"]
     pf_var = pf.moments["x2"] - pf_mean**2
     pf_gain = pf.moments["phi_h"] - pf.moments["phi"] * pf.moments["h"]
@@ -325,7 +342,7 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
 
     path_to_csv(truth, os.path.join(out, "truth.csv"))
     observation_to_csv(obs, os.path.join(out, "observations.csv"))
-    beliefs_to_csv(obs.times, beliefs, os.path.join(out, "kalman.csv"))
+    beliefs_to_csv(obs.times, kal_means, kal_covs, os.path.join(out, "kalman.csv"))
     estimates_to_csv(pf, os.path.join(out, "pf_estimates.csv"))
     estimates_to_csv(grid, os.path.join(out, "grid_estimates.csv"))
     series = {
@@ -426,32 +443,71 @@ def _heston_scenario_objects(cfg: ExperimentConfig):
 
 @_scenario
 def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> None:
-    """Latent-variance tracking: simulation, QV recovery, filtering, pricing."""
+    """Latent-variance tracking: simulation, QV recovery, filtering, pricing.
+
+    Once the path is drawn, a forked child runs the filter, collapse rerun
+    included, and sends each posterior snapshot to be priced the moment it
+    is recorded, while this process recovers the variance from the QV and
+    then prices each snapshot as it arrives (``_alongside``), so pricing
+    overlaps the filter.  A rerun sends its snapshots again and their
+    prices replace the first ones; pricing at index k draws only from
+    substreams 2k and 2k + 1, so every file keeps its bytes.  Every file is
+    written here.
+    """
     seed = cfg.seed
     model, spec = _heston_scenario_objects(cfg)
 
     with report.timed("simulate"):
         paths = simulate_heston(model, cfg["horizon"], cfg["dt"], RngStream(seed, STREAM_HESTON))
-    with report.timed("recovery"):
-        recovery = vol_recovery(realized_qv(paths.log_price), cfg["window"], cfg["dt"])
 
     stride = cfg["filter_stride"]
     y_coarse = paths.log_price[::stride]
     dt_coarse = cfg["dt"] * stride
     n_coarse = y_coarse.size
-    price_idx = np.unique(np.linspace(0, n_coarse - 1, cfg["n_price_times"], dtype=int))
-    with report.timed("filter"):
-        (est, snapshots), n_used = _run_with_collapse_recovery(
-            lambda n: heston_filter(
-                model,
-                y_coarse,
-                dt_coarse,
-                n,
-                RngStream(seed, STREAM_FILTER),
-                snapshot_indices=price_idx,
-            ),
-            cfg["n_particles"],
+    times = np.arange(n_coarse) * dt_coarse  # the filter's own time grid
+    price_idx = ()
+    if spec.maturity > cfg["horizon"]:
+        price_idx = np.unique(np.linspace(0, n_coarse - 1, cfg["n_price_times"], dtype=int))
+
+    def filter_child(emit):
+        with report.timed("filter"):
+            est, _ = _run_with_collapse_recovery(
+                lambda n: heston_filter(
+                    model,
+                    y_coarse,
+                    dt_coarse,
+                    n,
+                    RngStream(seed, STREAM_FILTER),
+                    snapshot_indices=price_idx,
+                    on_snapshot=emit,
+                ),
+                cfg["n_particles"],
+            )
+        return est, report.runtime["filter"]
+
+    def recover():
+        with report.timed("recovery"):
+            return vol_recovery(realized_qv(paths.log_price), cfg["window"], cfg["dt"])
+
+    prices = np.full(n_coarse, np.nan)
+    pricing_base = RngStream(seed, STREAM_PRICING)
+    report.runtime["pricing"] = 0.0  # the summed time of every price() call
+
+    def price(k, ens):
+        t0 = time.perf_counter()
+        u0 = float(pricing_base.substream(2 * k).generator().uniform())
+        prices[k] = filtered_option_price(
+            _resample_with_offset(ens, u0, min(200, ens.n)),
+            model,
+            spec,
+            spot=float(paths.price[k * stride]),
+            inner_paths=cfg["inner_paths"],
+            rng=pricing_base.substream(2 * k + 1),
+            t_now=float(times[k]),
         )
+        report.runtime["pricing"] += time.perf_counter() - t0
+
+    (est, report.runtime["filter"]), recovery = _alongside(filter_child, recover, price)
 
     truth_coarse = paths.variance[::stride]
     recovery_coarse = recovery[::stride]
@@ -489,23 +545,6 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
         )
         report.metrics["filter_vs_ode_rel"] = ode_err
         report.add("filter_vs_ode_within_1pct", ode_err <= 0.01, f"rel_err={ode_err:.5f}")
-
-    prices = np.full(n_coarse, np.nan)
-    with report.timed("pricing"):
-        if spec.maturity > cfg["horizon"]:
-            pricing_base = RngStream(seed, STREAM_PRICING)
-            for k in price_idx:
-                u0 = float(pricing_base.substream(2 * int(k)).generator().uniform())
-                ens = _resample_with_offset(snapshots[k], u0, min(200, n_used))
-                prices[k] = filtered_option_price(
-                    ens,
-                    model,
-                    spec,
-                    spot=float(paths.price[k * stride]),
-                    inner_paths=cfg["inner_paths"],
-                    rng=pricing_base.substream(2 * int(k) + 1),
-                    t_now=float(est.times[k]),
-                )
 
     write_csv(
         os.path.join(out, "stochvol.csv"),

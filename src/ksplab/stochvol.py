@@ -303,8 +303,9 @@ def heston_filter(
     n_particles: int,
     rng: RngStream,
     resample_threshold: float = 0.5,
-    snapshot_indices=None,
-):
+    snapshot_indices=(),
+    on_snapshot=None,
+) -> FilterEstimate:
     """Particle filter for the latent variance given a log-price record.
 
     The particles start from ``model.variance_prior()``.  The observed
@@ -325,9 +326,12 @@ def heston_filter(
     the cycle ``pf_step`` runs.  An ensemble is built only for a requested
     snapshot.
 
-    Returns the moment series; with ``snapshot_indices`` given, also a dict
-    mapping each requested time index, which must lie in
-    ``[0, len(log_price))``, to the posterior ensemble there.
+    Returns the moment series.  At each time index in ``snapshot_indices``,
+    which must lie in ``[0, len(log_price))``, the posterior ensemble there
+    (a copy) is handed to ``on_snapshot(k, ensemble)`` the moment it is
+    recorded, in increasing ``k``, while the filter runs on; to collect
+    them, pass ``on_snapshot=snapshots.__setitem__`` for a dict
+    ``snapshots``.
     """
     y = np.asarray(log_price, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -337,10 +341,12 @@ def heston_filter(
     if n_particles < 2:
         raise ValueError("need at least 2 particles")
     n = y.size
-    wanted = set(int(i) for i in snapshot_indices) if snapshot_indices is not None else set()
+    wanted = set(int(i) for i in snapshot_indices)
     outside = sorted(i for i in wanted if not 0 <= i < n)
     if outside:
         raise ValueError(f"snapshot_indices outside [0, {n}): {outside}")
+    if wanted and on_snapshot is None:
+        raise ValueError("snapshot_indices given without an on_snapshot callback")
 
     gen = rng.generator()
     buffers = _ParticleBuffers((n_particles,))
@@ -352,14 +358,13 @@ def heston_filter(
     mean_series = np.empty(n)
     m2_series = np.empty(n)
     ess_series = np.empty(n)
-    snapshots = {}
 
     def record(k, x, lw, w, n_eff):
         mean_series[k] = np.dot(w, x)
         m2_series[k] = np.dot(w, np.square(x, out=xp))  # xp is free between steps
         ess_series[k] = n_eff
         if k in wanted:
-            snapshots[k] = ParticleEnsemble(positions=x[:, None].copy(), log_weights=lw.copy())
+            on_snapshot(k, ParticleEnsemble(positions=x[:, None].copy(), log_weights=lw.copy()))
 
     w = np.exp(lw)
     record(0, x, lw, w, 1.0 / np.sum(w**2))
@@ -391,9 +396,8 @@ def heston_filter(
         _kernels.variance_step(x, db, dt, model.kappa, model.m, model.gamma, xp, drift, vol)
         record(k + 1, x, lw, w, n_eff)
 
-    est = FilterEstimate(
+    return FilterEstimate(
         times=np.arange(n) * dt,
         moments={"x": mean_series, "x2": m2_series},
         ess=ess_series,
     )
-    return (est, snapshots) if snapshot_indices is not None else est

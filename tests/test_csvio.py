@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ksplab import (
-    GaussianBelief,
     RngStream,
     rate_matrix_from_triplets,
     simulate_observation,
@@ -143,12 +142,10 @@ def test_lf_line_endings(tmp_path):
 
 
 def test_beliefs_header_upper_triangle(tmp_path):
-    beliefs = [
-        GaussianBelief([0.0, 1.0], np.eye(2)),
-        GaussianBelief([0.5, 0.9], [[2.0, 0.1], [0.1, 1.0]]),
-    ]
+    means = np.array([[0.0, 1.0], [0.5, 0.9]])
+    covs = np.array([np.eye(2), [[2.0, 0.1], [0.1, 1.0]]])
     f = tmp_path / "beliefs.csv"
-    beliefs_to_csv(np.array([0.0, 0.1]), beliefs, f)
+    beliefs_to_csv(np.array([0.0, 0.1]), means, covs, f)
     header, data = read_csv(f)
     assert header == ["t", "xhat_1", "xhat_2", "R_11", "R_12", "R_22"]
     assert data[1, 3] == 2.0

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -297,6 +298,14 @@ def read_bytes(*parts):
         return fh.read()
 
 
+def assert_same_data_files(dir_a, dir_b):
+    names = sorted(os.listdir(dir_a))
+    assert names == sorted(os.listdir(dir_b))
+    for name in names:
+        if name != "timing.json":
+            assert read_bytes(dir_a, name) == read_bytes(dir_b, name), name
+
+
 class TestNovikovConcurrency:
     """The three Novikov cases run on three threads with the serial runner's bytes."""
 
@@ -404,11 +413,146 @@ class TestOracleChild:
         inline = str(tmp_path / "inline")
         report = run_linear_compare(small_config("linear_compare", inline))
         assert set(report.runtime) == TIMING_SPLITS["linear_compare"]
-        names = sorted(os.listdir(forked))
-        assert names == sorted(os.listdir(inline))
-        for name in names:
-            if name != "timing.json":
-                assert read_bytes(forked, name) == read_bytes(inline, name), name
+        assert_same_data_files(forked, inline)
+
+
+def collapse_first_attempt(monkeypatch, emit_first):
+    """Patch the runner's heston_filter so that its first attempt raises
+    ``EnsembleCollapseError``, after running in full and emitting its
+    snapshots if ``emit_first``, before emitting anything otherwise."""
+    real, attempts = harness.heston_filter, []
+
+    def heston_filter(*args, **kwargs):
+        attempts.append(args[3])
+        if len(attempts) > 1:
+            return real(*args, **kwargs)
+        if emit_first:
+            real(*args, **kwargs)
+        raise EnsembleCollapseError("forced on the first attempt")
+
+    monkeypatch.setattr(harness, "heston_filter", heston_filter)
+
+
+def counted_pricing(monkeypatch):
+    """Patch the runner's filtered_option_price to count its calls here."""
+    real, calls = harness.filtered_option_price, []
+
+    def filtered_option_price(*args, **kwargs):
+        calls.append(kwargs["t_now"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "filtered_option_price", filtered_option_price)
+    return calls
+
+
+class TestFilterChild:
+    """heston_demo runs its filter in a forked child that streams each
+    posterior snapshot to this process, which prices it as it arrives."""
+
+    def test_timing_splits_and_no_child_left(self, tmp_out, monkeypatch):
+        calls = counted_pricing(monkeypatch)
+        report = run_heston_demo(small_config("heston_demo", tmp_out))
+        assert report.checks
+        assert_no_child_left()
+        assert len(calls) == 2  # priced here, where the patch counts
+        for name in ("simulate", "recovery", "filter", "pricing"):
+            assert report.runtime[name] > 0.0, name
+
+    def test_first_snapshot_priced_while_the_filter_runs(self, tmp_out, tmp_path, monkeypatch):
+        # the child holds the filter after its first snapshot until this
+        # process has priced it, so pricing only after the filter ends fails
+        priced = tmp_path / "priced"
+        real_filter, real_price = harness.heston_filter, harness.filtered_option_price
+
+        def heston_filter(*args, on_snapshot, **kwargs):
+            def hold_until_priced(k, ens):
+                on_snapshot(k, ens)
+                deadline = time.monotonic() + 60.0
+                while not priced.exists():
+                    if time.monotonic() > deadline:
+                        raise LayerFailed(f"snapshot {k} was not priced while the filter ran")
+                    time.sleep(0.002)
+
+            return real_filter(*args, on_snapshot=hold_until_priced, **kwargs)
+
+        def filtered_option_price(*args, **kwargs):
+            value = real_price(*args, **kwargs)
+            priced.touch()
+            return value
+
+        monkeypatch.setattr(harness, "heston_filter", heston_filter)
+        monkeypatch.setattr(harness, "filtered_option_price", filtered_option_price)
+        run_heston_demo(small_config("heston_demo", tmp_out))
+        assert_no_child_left()
+
+    def test_child_exception_raised_with_its_type_and_message(self, tmp_out, monkeypatch):
+        real = harness.heston_filter
+
+        def heston_filter(*args, on_snapshot, **kwargs):
+            def first_then_fail(k, ens):
+                on_snapshot(k, ens)
+                raise LayerFailed(f"filter failed in {os.getpid()}")
+
+            return real(*args, on_snapshot=first_then_fail, **kwargs)
+
+        monkeypatch.setattr(harness, "heston_filter", heston_filter)
+        calls = counted_pricing(monkeypatch)
+        with pytest.raises(LayerFailed) as err:
+            run_heston_demo(small_config("heston_demo", tmp_out))
+        message = str(err.value)
+        assert message.startswith("filter failed in ")
+        assert int(message.rsplit(" ", 1)[1]) != os.getpid()  # raised in the child
+        assert len(calls) == 1  # the snapshot sent before the failure was priced here
+        assert_no_child_left()
+        assert not os.path.exists(os.path.join(tmp_out, "stochvol.csv"))
+
+    def test_pricing_failure_kills_and_reaps_the_child(self, tmp_out, monkeypatch):
+        def filtered_option_price(*args, **kwargs):
+            raise LayerFailed("pricing failed")
+
+        monkeypatch.setattr(harness, "filtered_option_price", filtered_option_price)
+        with pytest.raises(LayerFailed, match="^pricing failed$"):
+            run_heston_demo(small_config("heston_demo", tmp_out))
+        assert_no_child_left()
+
+    def test_rerun_prices_replace_the_collapsed_attempts(self, tmp_path, monkeypatch):
+        # the reference's first attempt sends nothing, as the filter did when
+        # it returned its snapshots only at the end
+        runs = {"reference": (False, False), "inline": (False, True), "forked": (True, True)}
+        for name, (fork, emit_first) in runs.items():
+            monkeypatch.undo()
+            if not fork:
+                monkeypatch.delattr(os, "fork")
+            collapse_first_attempt(monkeypatch, emit_first)
+            calls = counted_pricing(monkeypatch)
+            run_heston_demo(small_config("heston_demo", str(tmp_path / name)))
+            # two snapshots an attempt, each priced as it arrives
+            assert len(calls) == (4 if emit_first else 2), name
+        assert_no_child_left()
+        for name in ("inline", "forked"):
+            assert_same_data_files(str(tmp_path / "reference"), str(tmp_path / name))
+
+    def test_inline_without_fork_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        forked = str(tmp_path / "forked")
+        run_heston_demo(small_config("heston_demo", forked))
+        monkeypatch.delattr(os, "fork")
+        inline = str(tmp_path / "inline")
+        report = run_heston_demo(small_config("heston_demo", inline))
+        assert set(report.runtime) == TIMING_SPLITS["heston_demo"]
+        assert_same_data_files(forked, inline)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestNoLeaks:
+    """No pipe end, other descriptor or child process outlives a run."""
+
+    @pytest.mark.parametrize("scenario", sorted(RUNNERS))
+    def test_descriptors_and_children_after_a_run(self, scenario, tmp_out):
+        before = sorted(os.listdir("/proc/self/fd"))
+        report = run_scenario(small_config(scenario, tmp_out))
+        assert report.checks
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_child_left()
 
 
 class TestCli:
@@ -489,16 +633,30 @@ class TestCli:
         assert "FAILED criterion" in proc.stderr
 
     def test_raising_run_names_the_exception_type(self, tmp_path):
-        # without diffusion the grid's central advection floors too much mass
-        # and raises RuntimeError in the forked child; the CLI reports it
+        # a prior 100 sd beyond the grid underflows to a zero density, and
+        # the grid raises ValueError in the forked child; the CLI reports it
         proc = run_cli(
             "linear_compare", "--out", str(tmp_path / "out"),
-            "--set", "sigma=0", "--set", "prior_var=0.01", "--set", "horizon=0.2",
+            "--set", "prior_mean=100", "--set", "horizon=0.2",
             "--set", "n_grid=201", "--set", "n_particles=400",
         )
         assert proc.returncode == 1
-        assert proc.stderr.startswith("linear_compare failed with RuntimeError: flooring removed")
+        assert proc.stderr.startswith(
+            "linear_compare failed with ValueError: cannot normalize a zero density"
+        )
         assert "builtins" not in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "extra", ["prior_var=0.01", "horizon=3", "F=-5", "n_grid=101"]
+    )
+    def test_grid_without_diffusion_exit_2(self, extra, tmp_path):
+        # each of these made the grid floor too much mass and raise at sigma = 0
+        out = tmp_path / "out"
+        proc = run_cli("linear_compare", "--out", str(out), "--set", "sigma=0", "--set", extra)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("config error:")
+        assert "grid cell Peclet number" in proc.stderr and "'sigma'" in proc.stderr
+        assert not out.exists()
 
     def test_set_flag_overrides(self, tmp_path):
         out = str(tmp_path / "out")

@@ -389,13 +389,22 @@ class TestHestonFilter:
     def test_snapshots_are_posteriors(self):
         model = default_heston()
         paths = simulate_heston(model, 0.1, 1e-3, RngStream(23, 1))
-        est, snaps = heston_filter(
-            model, paths.log_price, 1e-3, 500, RngStream(23, 2), snapshot_indices=[0, 50]
+        received = []
+        est = heston_filter(
+            model, paths.log_price, 1e-3, 500, RngStream(23, 2), snapshot_indices=[50, 0],
+            on_snapshot=lambda k, ens: received.append((k, ens)),
         )
-        assert set(snaps) == {0, 50}
+        assert [k for k, _ in received] == [0, 50]  # in time order, as recorded
+        snaps = dict(received)
         for k, ens in snaps.items():
             mean = float(ens.weights @ ens.positions[:, 0])
             assert abs(mean - est.moments["x"][k]) < 1e-12
+
+    def test_snapshot_indices_need_a_callback(self):
+        model = default_heston()
+        paths = simulate_heston(model, 0.01, 1e-3, RngStream(24, 1))
+        with pytest.raises(ValueError, match="without an on_snapshot callback"):
+            heston_filter(model, paths.log_price, 1e-3, 50, RngStream(24, 2), snapshot_indices=[3])
 
     def test_snapshot_indices_outside_record_rejected(self):
         model = default_heston()
@@ -460,9 +469,10 @@ class TestHestonFilterCycle:
         paths = simulate_heston(model, 0.3, 1e-3, RngStream(24, 1))
         wanted = [0, 7, 150, 300]
         n = 300
-        est, snaps = heston_filter(
+        snaps = {}
+        est = heston_filter(
             model, paths.log_price, 1e-3, n, RngStream(24, 2),
-            resample_threshold=threshold, snapshot_indices=wanted,
+            resample_threshold=threshold, snapshot_indices=wanted, on_snapshot=snaps.__setitem__,
         )
         mean, m2, ess_ref, snaps_ref = parent_heston_filter(
             model, paths.log_price, 1e-3, n, RngStream(24, 2), threshold, wanted
@@ -489,9 +499,10 @@ class TestHestonFilterWorkspace:
         model = default_heston(gamma=0.6)
         paths = simulate_heston(model, 0.3, 1e-3, RngStream(seed, 1))
         wanted = [0, 1, 120, 300]
-        est, snaps = heston_filter(
+        snaps = {}
+        est = heston_filter(
             model, paths.log_price, 1e-3, 300, RngStream(seed, 2),
-            resample_threshold=threshold, snapshot_indices=wanted,
+            resample_threshold=threshold, snapshot_indices=wanted, on_snapshot=snaps.__setitem__,
         )
         moments, ess_ref, snaps_ref = reference_heston_filter(
             model, paths.log_price, 1e-3, 300, RngStream(seed, 2), threshold, wanted
