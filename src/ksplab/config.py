@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 from .markov import rate_matrix_from_triplets
@@ -136,21 +135,6 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
             f"key 'H' = {p['H']!r} must be nonzero: the innovation gain is compared "
             "relative to the Kalman gain R H"
         )
-    grid_keys = {"F", "f0", "sigma", "x_lo", "x_hi", "n_grid"}
-    if scenario == "linear_compare" and invalid.isdisjoint(grid_keys) and p["x_lo"] < p["x_hi"]:
-        # with too little diffusion per cell the grid's central-difference
-        # advection drives node values negative, and flooring them fails the
-        # run (sigma = 0 always does); |F x + f0| is largest at a grid end
-        cell = (p["x_hi"] - p["x_lo"]) / (p["n_grid"] - 1)
-        drift = max(abs(p["F"] * x + p["f0"]) for x in (p["x_lo"], p["x_hi"]))
-        diffusion = p["sigma"] ** 2
-        if drift * cell > 2 * diffusion:
-            peclet = drift * cell / diffusion if diffusion > 0 else math.inf
-            found.append(
-                f"grid cell Peclet number max|F x + f0| * dx / sigma^2 over ['x_lo', 'x_hi'] "
-                f"is {peclet:.4g} (dx = {cell:.4g} from 'n_grid') and must not exceed 2, "
-                "beyond which the grid filter's stencil is not monotone; raise 'sigma' or 'n_grid'"
-            )
     if scenario == "master_demo" and "rates" not in invalid:
         try:
             rate_matrix_from_triplets(p["rates"])

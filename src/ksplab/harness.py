@@ -470,6 +470,8 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
         price_idx = np.unique(np.linspace(0, n_coarse - 1, cfg["n_price_times"], dtype=int))
 
     def filter_child(emit):
+        # without os.fork, emit prices here while the filter runs: leave that out
+        priced_before = report.runtime["pricing"]
         with report.timed("filter"):
             est, _ = _run_with_collapse_recovery(
                 lambda n: heston_filter(
@@ -483,7 +485,7 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
                 ),
                 cfg["n_particles"],
             )
-        return est, report.runtime["filter"]
+        return est, report.runtime["filter"] - (report.runtime["pricing"] - priced_before)
 
     def recover():
         with report.timed("recovery"):
