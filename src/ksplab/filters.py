@@ -35,7 +35,14 @@ import numpy as np
 from . import _kernels
 from .observation import ObservationModel, ObservationPath
 from .rng import RngStream
-from .sde import DiffusionModel, InitialLaw, _euler_step, _generator_form, generator_values
+from .sde import (
+    DiffusionModel,
+    InitialLaw,
+    _euler_increments,
+    _euler_step,
+    _generator_form,
+    generator_values,
+)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -296,7 +303,7 @@ def _reweight(
     x: np.ndarray,
     lw: np.ndarray,
     log_incr: np.ndarray,
-    gen: np.random.Generator,
+    uniform: Callable[[], float],
     resample_threshold: float,
     buffers: _ParticleBuffers,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -308,8 +315,8 @@ def _reweight(
     ``log_incr`` the log-likelihood increment.  The weights are
     exponentiated once: they carry the sum-to-one check that every
     :class:`ParticleEnsemble` makes and give the ESS.  When ESS <
-    resample_threshold * N, systematic resampling with one
-    ``gen.uniform()`` offset copies the chosen particles into
+    resample_threshold * N, systematic resampling with the offset
+    ``uniform()`` returns copies the chosen particles into
     ``buffers.spare(x)`` and sets the log weights to -log N.
 
     Everything is written into ``buffers``, a :class:`_ParticleBuffers` for
@@ -326,7 +333,7 @@ def _reweight(
     n = x.shape[0]
     n_eff = 1.0 / np.square(w, out=buffers.tmp).sum()
     if n_eff < resample_threshold * n:
-        idx = _systematic_indices(w, float(gen.uniform()), n, cw=buffers.tmp)
+        idx = _systematic_indices(w, float(uniform()), n, cw=buffers.tmp)
         # the indices lie in [0, n), so "clip" changes none of them; it
         # spares the temporary copy that take makes for out= under "raise"
         x = np.take(x, idx, axis=0, out=buffers.spare(x), mode="clip")
@@ -336,36 +343,64 @@ def _reweight(
     return x, lw, w, n_eff
 
 
+def _step_noise(gen: np.random.Generator, dv: np.ndarray, dt: float) -> float:
+    """Draw one particle step's noise from ``gen``.
+
+    The Euler increments go into ``dv`` (:func:`sde._euler_increments`),
+    and the uniform drawn right after them, which a resampling at that step
+    takes as its offset, is returned.
+    """
+    _euler_increments(gen, dv, dt)
+    return float(gen.uniform())
+
+
+def _substream_noise(rng: RngStream, shape: tuple, dt: float) -> Callable[[int], tuple]:
+    """The noise of :func:`run_particle_filter`, drawn from ``rng.substream(k)``.
+
+    Returns ``draw(k) -> (dv, u)``: step k's ``shape`` = ``(N, q)`` Euler
+    increments and resampling uniform, drawn by :func:`_step_noise` from a
+    fresh generator of substream k.  So step k's noise depends on k alone,
+    and any process can draw it.  ``dv`` is one buffer made here, valid
+    until the next call.
+    """
+    dv = np.empty(shape)
+
+    def draw(k):
+        return dv, _step_noise(rng.substream(k).generator(), dv, dt)
+
+    return draw
+
+
 def _particle_stepper(
     obs: ObservationModel,
     shape: tuple,
-    q: int,
     dt: float,
     resample_threshold: float,
 ) -> Callable:
     """Prepare mutate / reweight / maybe-resample cycles of particles shaped ``shape``.
 
     Every float64 array a cycle writes is made here once: the
-    :class:`_ParticleBuffers`, the ``(N, q)`` draws, sigma dV and h^2.  The
-    returned ``step(x, lw, a, sig, dY, gen)`` takes the positions, their
-    normalized log weights, and a(x) and sigma(x) evaluated by the caller.
-    It mutates by one :func:`sde._euler_step` into the spare position
-    buffer, evaluates the sensor once at the new positions, writes the
-    log-weight increment h.dY - |h|^2 dt / 2 in place and runs
-    :func:`_reweight` on the same buffers.  It returns
-    ``(x, lw, w, ess, h)``: ``h`` is the sensor at the returned ``x``, or
-    ``None`` after a resampling, whose positions the sensor has not seen.
-    ``x`` and ``h`` are valid until the next call, which writes into the
-    buffer ``x`` does not hold.
+    :class:`_ParticleBuffers`, sigma dV and h^2.  The returned
+    ``step(x, lw, a, sig, dY, dv, u)`` takes the positions, their
+    normalized log weights, a(x) and sigma(x) evaluated by the caller, and
+    the step's noise as :func:`_step_noise` draws it: the ``(N, q)`` Euler
+    increments ``dv`` and the resampling uniform ``u``.  It mutates by one
+    :func:`sde._euler_step` into the spare position buffer, evaluates the
+    sensor once at the new positions, writes the log-weight increment
+    h.dY - |h|^2 dt / 2 in place and runs :func:`_reweight` on the same
+    buffers.  It returns ``(x, lw, w, ess, h)``: ``h`` is the sensor at the
+    returned ``x``, or ``None`` after a resampling, whose positions the
+    sensor has not seen.  ``x`` and ``h`` are valid until the next call,
+    which writes into the buffer ``x`` does not hold.
     """
     buffers = _ParticleBuffers(shape)
     n = shape[0]
-    dv, noise = np.empty((n, q)), np.empty(shape)
+    noise = np.empty(shape)
     hh = np.empty((n, obs.dim_obs))
     finite = np.empty(shape, dtype=bool)
 
-    def step(x, lw, a, sig, dY, gen):
-        x = _euler_step(x, a, sig, dt, q, gen, buffers.spare(x), dv, noise)
+    def step(x, lw, a, sig, dY, dv, u):
+        x = _euler_step(x, a, sig, dt, dv, buffers.spare(x), noise)
         if not np.isfinite(x, out=finite).all():
             raise ValueError("particle mutation produced non-finite positions")
         h = obs.sensor_values(x)
@@ -376,7 +411,7 @@ def _particle_stepper(
             np.multiply(0.5, half, out=half)
             half *= dt
             incr -= half
-        x_new, lw, w, n_eff = _reweight(x, lw, incr, gen, resample_threshold, buffers)
+        x_new, lw, w, n_eff = _reweight(x, lw, incr, lambda: u, resample_threshold, buffers)
         return x_new, lw, w, n_eff, (h if x_new is x else None)
 
     return step
@@ -399,15 +434,18 @@ def pf_step(
     triggers when ESS < resample_threshold * N.  ``ens`` is normalized by
     construction, and so is the returned ensemble.  One step of the
     :func:`_particle_stepper` that :func:`run_particle_filter` prepares once
-    per run; it builds only the returned ensemble.
+    per run, and draws its noise from ``rng`` by the same
+    :func:`_step_noise`; it builds only the returned ensemble.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     dY = np.atleast_1d(np.asarray(dY, dtype=float))
     x = ens.positions
-    step = _particle_stepper(obs, x.shape, model.noise_dim(x[0]), dt, resample_threshold)
+    step = _particle_stepper(obs, x.shape, dt, resample_threshold)
+    dv = np.empty((ens.n, model.noise_dim(x[0])))
+    u = _step_noise(rng.generator(), dv, dt)
     a, sig = model.drift(x), model.diffusion_factor(x)
-    x, lw, _, _, _ = step(x, ens.log_weights, a, sig, dY, rng.generator())
+    x, lw, _, _, _ = step(x, ens.log_weights, a, sig, dY, dv, u)
     return ParticleEnsemble(positions=x, log_weights=lw)
 
 
@@ -420,6 +458,7 @@ def run_particle_filter(
     phis: dict | None = None,
     ksp_phi: tuple | None = None,
     resample_threshold: float = 0.5,
+    noise: Callable[[tuple], Callable[[int], tuple]] | None = None,
 ) -> FilterEstimate:
     """Fold the pf_step cycle over an observation record, recording moment series.
 
@@ -430,8 +469,14 @@ def run_particle_filter(
 
     The particles live as bare position and log-weight arrays between steps,
     in the buffers of one :func:`_particle_stepper` made for the run: only
-    the initial ensemble is built.  Step k draws from ``rng.substream(k + 1)``
-    exactly as ``pf_step`` does.  Each callback is evaluated once per step:
+    the initial ensemble is built.  Step k (from 1) takes its Euler
+    increments and resampling uniform from a noise source,
+    ``noise(shape)``, called once with the ``(n_particles, q)`` shape of the
+    increments, which returns ``draw(k) -> (dv, u)``.  By default
+    :func:`_substream_noise` draws them from ``rng.substream(k)``, exactly as
+    ``pf_step`` draws from the stream it is given; another source must
+    return the same bits (``harness.run_linear_compare`` reads them from a
+    process that drew them ahead).  Each callback is evaluated once per step:
     a(x_k) and sigma(x_k) feed both the recorded "A_phi" (through
     ``sde._generator_form``, the form :func:`generator_values` uses) and
     the next Euler step, and the sensor values of the reweight give "phi_h"
@@ -454,16 +499,16 @@ def run_particle_filter(
     if dt <= 0:
         raise ValueError("dt must be positive")
     x, lw = ens.positions, ens.log_weights
-    step = _particle_stepper(obs_model, x.shape, model.noise_dim(x[0]), dt, resample_threshold)
+    step = _particle_stepper(obs_model, x.shape, dt, resample_threshold)
+    shape = (n_particles, model.noise_dim(x[0]))
+    draw = _substream_noise(rng, shape, dt) if noise is None else noise(shape)
 
     w = ens.weights
     n_eff = 1.0 / np.sum(w**2)
     a = sig = h = None
     for k in range(n_times):
         if k:
-            x, lw, w, n_eff, h = step(
-                x, lw, a, sig, obs_path.increments[k - 1], rng.substream(k).generator()
-            )
+            x, lw, w, n_eff, h = step(x, lw, a, sig, obs_path.increments[k - 1], *draw(k))
         if ksp_phi is not None or k + 1 < n_times:
             a, sig = model.drift(x), model.diffusion_factor(x)
         values = {name: phi(x) for name, phi in phis.items() if phi is not None}

@@ -20,6 +20,10 @@ import functools
 import json
 import math
 import os
+import pickle
+import select
+import signal
+import struct
 import sys
 import time
 from contextlib import contextmanager
@@ -47,6 +51,7 @@ from .filters import (
     EnsembleCollapseError,
     ParticleEnsemble,
     _resample_with_offset,
+    _substream_noise,
     run_grid_filter,
     run_particle_filter,
 )
@@ -170,75 +175,255 @@ def _run_with_collapse_recovery(run, n_particles: int):
         return run(10 * n_particles), 10 * n_particles
 
 
-def _alongside(child_work, work, on_item=None):
-    """Return ``(child_work(emit), work())``, the first computed in a forked child.
+# a message from a forked child: its kind and the size of its body in bytes
+_HEADER = struct.Struct("<cQ")
+
+
+def _read_into(fh, buf) -> None:
+    """Fill the bytes of ``buf`` from the unbuffered reader ``fh``; ``EOFError`` if it ends first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        n = fh.readinto(view)
+        if not n:
+            raise EOFError
+        view = view[n:]
+
+
+def _pickled_exception(exc: BaseException) -> bytes:
+    """``exc`` pickled, or a ``RuntimeError`` naming its type if it does not survive pickling."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)  # the parent must be able to rebuild it
+        return data
+    except Exception:
+        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+
+
+class _Child:
+    """This process's end of the child that :func:`_alongside` forks.
+
+    Each message from the child is a :data:`_HEADER` and a body: an item
+    (``b"i"``), the value (``b"v"``) or the exception it raised (``b"r"``),
+    each pickled, or a frame (``b"f"``) of raw bytes.
+    """
+
+    def __init__(self, pid: int, data, requests, on_item):
+        self.pid = pid
+        self._data = data  # unbuffered, so select sees every byte not yet read
+        self._requests = requests
+        self._on_item = on_item
+        self._header = bytearray(_HEADER.size)
+        self.arrived = False
+        self.value = None
+        self._reaped = False
+
+    def _receive(self, frame=None) -> None:
+        """Read the next message; a frame goes into ``frame``, a C-contiguous array."""
+        try:
+            _read_into(self._data, self._header)
+            kind, size = _HEADER.unpack(self._header)
+            if kind == b"f" and frame is not None and size == frame.nbytes:
+                _read_into(self._data, frame)
+                return
+            body = bytearray(size)
+            _read_into(self._data, body)
+        except EOFError:
+            raise ChildProcessError(f"forked child {self.pid} ended without a result") from None
+        if kind == b"r":
+            raise pickle.loads(body)
+        if frame is not None or kind not in (b"i", b"v"):
+            raise ChildProcessError(f"forked child {self.pid} sent {kind!r} out of turn")
+        if kind == b"i":
+            self._on_item(*pickle.loads(body))
+        else:
+            self.value, self.arrived = pickle.loads(body), True
+
+    def poll(self) -> bool:
+        """Whether the value has arrived; reads only what the child has sent.
+
+        Items met on the way go to ``on_item``, and an exception the child
+        sent is raised here.
+        """
+        while not self.arrived and select.select([self._data], [], [], 0)[0]:
+            self._receive()
+        return self.arrived
+
+    def result(self):
+        """Close the request pipe, then wait for the value and return it.
+
+        A child waiting for a request reads EOF and ends; items that arrive
+        meanwhile go to ``on_item``.
+        """
+        self._requests.close()
+        while not self.arrived:
+            self._receive()
+        return self.value
+
+    def request(self, *args) -> None:
+        """Ask the child, once its value has arrived, for the frames of ``serve(*args)``."""
+        pickle.dump(args, self._requests)
+        self._requests.flush()
+
+    def frame(self, buf: np.ndarray) -> None:
+        """Read the next frame the child serves into ``buf``, which must match its size."""
+        self._receive(buf)
+
+    def close(self) -> None:
+        """Close both pipes and reap the child, which a closed pipe ends if it still writes."""
+        self._requests.close()
+        self._data.close()
+        if not self._reaped:
+            os.waitpid(self.pid, 0)
+            self._reaped = True
+
+    def stop(self) -> None:
+        """Kill and reap the child; a value that has arrived stays."""
+        if not self._reaped:
+            os.kill(self.pid, signal.SIGKILL)
+        self.close()
+
+
+def _alongside(child_work, work, on_item=None, serve=None):
+    """Return ``(child_work(emit), work(child))``, the first computed in a forked child.
 
     The child runs ``child_work`` while this process runs ``work``, so two
     CPU-bound Python loops that would take turns on the GIL in threads run
-    at once.  Before it returns, ``child_work`` may call ``emit(*item)`` any
-    number of times: each item goes through the pipe at once, and once
-    ``work`` has returned this process calls ``on_item(*item)`` for each in
-    order as it arrives, while the child works on.  The child's last message
-    is its value or the exception it raised, and it ends with ``os._exit``,
-    so no atexit handler or inherited buffer runs twice; the parent raises
-    the child's exception as its own (as a ``RuntimeError`` naming its type
-    if it does not survive pickling).  If ``work`` or ``on_item`` raises,
-    the child is killed, and the child is always reaped before this returns
-    or raises.  Where ``os.fork`` does not exist, ``work`` runs here and then
-    ``child_work`` with ``on_item`` as its ``emit``.
+    at once.  ``work`` gets the :class:`_Child` (``None`` without a fork).
+    Before it returns, ``child_work`` may call ``emit(*item)`` any number
+    of times: each item goes through the pipe at once, and this process
+    calls ``on_item(*item)`` for each in order whenever it reads the pipe:
+    at ``child.poll()``, which never waits for a child still working, and
+    once ``work`` has returned, while the child works on.  Then the child
+    sends its value or the exception it raised, which this process raises
+    as its own when it reads it (as a ``RuntimeError`` naming its type if
+    it does not survive pickling).
+
+    With its value sent, the child may serve a stream: if ``work`` calls
+    ``child.request(*args)``, the child sends each C-contiguous buffer of
+    the sequences ``serve(*args)`` yields, one raw frame per sequence, which
+    ``child.frame(buf)`` reads into ``buf``.  A child that gets no request
+    before ``work`` returns reads EOF and ends without serving.  The child
+    ends with ``os._exit``, so no atexit handler or inherited buffer runs
+    twice.  If ``work`` or ``on_item`` raises, the child is killed, and the
+    child is always reaped before this returns or raises; ``work`` may end
+    it early with ``child.stop()``.  Where ``os.fork`` does not exist,
+    ``work(None)`` runs here and then ``child_work`` with ``on_item`` as its
+    ``emit``.
     """
     if not hasattr(os, "fork"):
-        value = work()
+        value = work(None)
         return child_work(on_item), value
-    import pickle  # imported here: no other scenario needs these two
-    import signal
+
+    import fcntl  # Unix only, as os.fork is
 
     r, w = os.pipe()
+    try:
+        # room for a dozen frames of 10^4 particles, so a serving child runs
+        # ahead instead of stalling in every write: in 16 alternating runs
+        # of the shipped linear_compare on 2 vCPUs, the default 64 KiB took
+        # the median total 6% above 1 MiB (0.436 against 0.410 s)
+        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
+        pass
+    requests_r, requests_w = os.pipe()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             os.close(r)
-            with os.fdopen(w, "wb") as fh:
+            os.close(requests_w)
+            with os.fdopen(w, "wb") as fh, os.fdopen(requests_r, "rb") as requests:
+
+                def send(kind, *parts):
+                    fh.write(_HEADER.pack(kind, sum(memoryview(p).nbytes for p in parts)))
+                    for part in parts:
+                        fh.write(part)
+                    fh.flush()
 
                 def emit(*item):
                     # pickled whole before any byte is written
-                    fh.write(pickle.dumps(("item", item), pickle.HIGHEST_PROTOCOL))
-                    fh.flush()
+                    send(b"i", pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
 
                 try:
-                    data = pickle.dumps(("value", child_work(emit)), pickle.HIGHEST_PROTOCOL)
+                    send(b"v", pickle.dumps(child_work(emit), pickle.HIGHEST_PROTOCOL))
+                    if serve is not None:
+                        try:
+                            args = pickle.load(requests)
+                        except EOFError:  # the parent's work ended without asking
+                            args = None
+                        if args is not None:
+                            for parts in serve(*args):
+                                send(b"f", *parts)
                 except BaseException as exc:
-                    try:
-                        data = pickle.dumps(("raised", exc))
-                        pickle.loads(data)  # the parent must be able to rebuild it
-                    except Exception:
-                        data = pickle.dumps(("raised", RuntimeError(f"{type(exc).__name__}: {exc}")))
-                fh.write(data)
+                    send(b"r", _pickled_exception(exc))
             status = 0
         finally:
             os._exit(status)
     os.close(w)
+    os.close(requests_r)
+    child = _Child(pid, os.fdopen(r, "rb", buffering=0), os.fdopen(requests_w, "wb"), on_item)
     try:
-        with os.fdopen(r, "rb") as fh:
-            value = work()
-            # read the whole pipe before waitpid: the child blocks on a full pipe
-            while True:
-                try:
-                    kind, payload = pickle.load(fh)
-                except EOFError:
-                    raise ChildProcessError(f"forked child {pid} ended without a result") from None
-                if kind != "item":
-                    break
-                on_item(*payload)
+        value = work(child)
+        return child.result(), value
     except BaseException:
-        os.kill(pid, signal.SIGKILL)
+        child.stop()
         raise
     finally:
-        os.waitpid(pid, 0)
-    if kind == "raised":
-        raise payload
-    return payload, value
+        child.close()
+
+
+def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
+    """A noise source for :func:`run_particle_filter` that hands its drawing to ``child``.
+
+    Step k's noise is drawn here (``filters._substream_noise``) until a
+    poll, made at each step without waiting, finds the child's value.  That
+    step asks the child for steps k + 1 to ``n_times - 1`` and the particle
+    shape; the child (serving :func:`_noise_frames`) draws each with the
+    same helper from the same substream and sends it as one frame, the
+    increments and then the uniform, which this process reads into one of
+    two buffers made at the handoff.  So the noise is the same whichever process draws it.  An
+    attempt made after a handoff (a collapse rerun) stops the child and
+    draws its own noise.  Without a child (``None``) this process draws it
+    all.
+    """
+    handed_off = False
+
+    def source(shape):
+        own = _substream_noise(rng, shape, dt)
+        if handed_off:
+            child.stop()
+            return own
+        frames = []
+
+        def draw(k):
+            nonlocal handed_off
+            if frames:
+                buf, dv = frames[k & 1]
+                child.frame(buf)
+                return dv, float(buf[-1])
+            if child is not None and k + 1 < n_times and child.poll():
+                child.request(k + 1, n_times, shape)
+                handed_off = True
+                for _ in range(2):
+                    buf = np.empty(math.prod(shape) + 1)
+                    frames.append((buf, buf[:-1].reshape(shape)))
+            return own(k)
+
+        return draw
+
+    return source
+
+
+def _noise_frames(rng: RngStream, dt: float, start: int, stop: int, shape: tuple):
+    """The child's half of :func:`_noise_from_child`: one frame per step ``start <= k < stop``.
+
+    Each frame is step k's increments and uniform, drawn as
+    ``filters._substream_noise`` draws them in the parent.
+    """
+    draw = _substream_noise(rng, shape, dt)
+    for k in range(start, stop):
+        dv, u = draw(k)
+        yield dv, np.float64(u)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +436,11 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
 
     Once the record is drawn the three layers share nothing: a forked child
     runs the Kalman oracle and then the grid filter while this process runs
-    the particle filter (``_alongside``).  Every file is written here.
+    the particle filter (``_alongside``).  Once it has sent its oracles, the
+    child draws the particle filter's noise for the steps this process has
+    not reached and streams it here (``_noise_from_child``); step k's noise
+    comes from substream k wherever it is drawn, so every file keeps its
+    bytes.  Every file is written here.
     """
     seed = cfg.seed
 
@@ -267,6 +456,7 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
         obs = simulate_observation(obs_model, truth, RngStream(seed, STREAM_OBS))
 
     prior = GaussianBelief(mean=law.params["mean"], cov=law.params["cov"])
+    pf_rng = RngStream(seed, STREAM_PF)
 
     def oracles(_emit):
         t0 = time.perf_counter()
@@ -279,7 +469,8 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
 
     phi = (lambda x: x[..., 0], lambda x: np.ones_like(x), lambda x: np.zeros(x.shape + (1,)))
 
-    def particle():
+    def particle(child):
+        noise = _noise_from_child(child, pf_rng, obs.dt, obs.times.size)
         with report.timed("particle"):
             return _run_with_collapse_recovery(
                 lambda n: run_particle_filter(
@@ -287,14 +478,17 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
                     obs_model,
                     obs,
                     n,
-                    RngStream(seed, STREAM_PF),
+                    pf_rng,
                     ksp_phi=phi,
                     resample_threshold=cfg["resample_threshold"],
+                    noise=noise,
                 ),
                 cfg["n_particles"],
             )
 
-    ((kal_means, kal_covs), grid, oracle_times), (pf, n_used) = _alongside(oracles, particle)
+    ((kal_means, kal_covs), grid, oracle_times), (pf, n_used) = _alongside(
+        oracles, particle, serve=functools.partial(_noise_frames, pf_rng, obs.dt)
+    )
     report.runtime.update(oracle_times)
     kal_mean = kal_means[:, 0]
     kal_var = kal_covs[:, 0, 0]
@@ -487,7 +681,7 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
             )
         return est, report.runtime["filter"] - (report.runtime["pricing"] - priced_before)
 
-    def recover():
+    def recover(_child):
         with report.timed("recovery"):
             return vol_recovery(realized_qv(paths.log_price), cfg["window"], cfg["dt"])
 

@@ -238,33 +238,40 @@ def simulate_path(model: DiffusionModel, horizon: float, dt: float, rng: RngStre
     return SamplePath(times=times, states=states[:, 0])
 
 
+def _euler_increments(gen: np.random.Generator, dv: np.ndarray, dt: float) -> np.ndarray:
+    """Fill ``dv`` with N(0, dt) Euler increments drawn from ``gen``; return it.
+
+    ``gen.standard_normal(out=dv)``, then ``dv *= sqrt(dt)``: every Euler
+    step's noise is drawn this one way, so a caller that draws it ahead of
+    the step, or in another process, gets the same bits.
+    """
+    gen.standard_normal(out=dv)
+    dv *= math.sqrt(dt)
+    return dv
+
+
 def _euler_step(
     x: np.ndarray,
     a: np.ndarray,
     sig: np.ndarray,
     dt: float,
-    q: int,
-    gen: np.random.Generator,
+    dv: np.ndarray,
     out: np.ndarray | None = None,
-    dv: np.ndarray | None = None,
     noise: np.ndarray | None = None,
 ) -> np.ndarray:
     """One vectorized Euler-Maruyama step of ``(N, d)`` states.
 
-    ``a`` and ``sig`` are a(x) and sigma(x), evaluated by the caller.  Draws
-    ``dv = standard_normal((N, q)) * sqrt(dt)`` and returns
+    ``a`` and ``sig`` are a(x) and sigma(x), and ``dv`` the ``(N, q)``
+    increments, all given by the caller: the step draws nothing, and its
+    callers draw ``dv`` through :func:`_euler_increments`.  Returns
     ``x + a dt + sig dv`` in ``out``.  The caller checks the result for
     finiteness and raises its own error.
 
-    ``out`` and ``noise`` (``(N, d)``) and ``dv`` (``(N, q)``) are
-    C-contiguous float64 buffers for the result, sigma dv and the draws;
-    each one not given is allocated.  ``out`` must not share memory with
-    ``x``, ``a`` or ``sig``.  The sums are those of
-    ``x + a * dt + einsum(sig, dv)``, in that order.
+    ``out`` and ``noise`` (``(N, d)``) are C-contiguous float64 buffers for
+    the result and sigma dv; each one not given is allocated.  ``out`` must
+    not share memory with ``x``, ``a``, ``sig`` or ``dv``.  The sums are
+    those of ``x + a * dt + einsum(sig, dv)``, in that order.
     """
-    n = x.shape[0]
-    dv = gen.standard_normal((n, q)) if dv is None else gen.standard_normal(out=dv)
-    dv *= math.sqrt(dt)
     noise = np.einsum("...ij,...j->...i", np.asarray(sig), dv, out=noise)
     out = np.multiply(a, dt, out=np.empty(x.shape) if out is None else out)
     np.add(x, out, out=out)
@@ -275,17 +282,20 @@ def _euler_step(
 def _ensemble_states(model: DiffusionModel, n_paths: int, n: int, dt: float, rng: RngStream):
     """Yield the ensemble states ``x_0, ..., x_n``, each a fresh ``(n_paths, d)`` array.
 
-    Draw order: the initial states, then one ``(n_paths, q)`` block per
-    step.  Raises :class:`SimulationDivergenceError` ``(k + 1)`` when step
-    ``k`` leaves the finite range, before yielding that state.
+    Draw order: the initial states, then one ``(n_paths, q)`` block of
+    increments per step, into one buffer made here.  Raises
+    :class:`SimulationDivergenceError` ``(k + 1)`` when step ``k`` leaves
+    the finite range, before yielding that state.
     """
     gen = rng.generator()
     x = model.initial_law.sample(n_paths, gen)
     model.validate_at(x[: min(n_paths, 8)])
-    q = model.noise_dim(x[0])
+    dv = np.empty((n_paths, model.noise_dim(x[0])))
     yield x
     for k in range(n):
-        x = _euler_step(x, model.drift(x), model.diffusion_factor(x), dt, q, gen)
+        x = _euler_step(
+            x, model.drift(x), model.diffusion_factor(x), dt, _euler_increments(gen, dv, dt)
+        )
         if not np.all(np.isfinite(x)):
             raise SimulationDivergenceError(k + 1)
         yield x

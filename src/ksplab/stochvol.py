@@ -387,7 +387,7 @@ def heston_filter(
         var *= two_pi
         incr += np.log(var, out=var)
         incr *= -0.5
-        x, lw, w, n_eff = _reweight(x, lw, incr, gen, resample_threshold, buffers)
+        x, lw, w, n_eff = _reweight(x, lw, incr, gen.uniform, resample_threshold, buffers)
 
         # mutate through the variance dynamics in place; the weights do not
         # change, so the cycle's w and ESS are those of the new x

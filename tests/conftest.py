@@ -1,5 +1,6 @@
 import math
 import os
+import signal
 import threading
 
 import numpy as np
@@ -76,6 +77,34 @@ def no_thread_left_running():
     yield
     left = [t for t in threading.enumerate() if t not in before]
     assert not left, f"threads left running: {left}"
+
+
+# a fork test takes seconds; one still running after this is stuck
+HANG_SECONDS = 120
+
+
+@pytest.fixture
+def hang_guard():
+    """Fail a test still running after ``HANG_SECONDS`` instead of hanging the suite.
+
+    Armed around the tests that fork: a pipe deadlocked between parent and
+    child would block them forever.  The alarm raises ``TimeoutError`` in the
+    blocked call, and the fork helper then kills and reaps its child.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test still running after {HANG_SECONDS} s: deadlocked?")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(HANG_SECONDS)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

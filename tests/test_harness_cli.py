@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -20,7 +21,8 @@ from ksplab import (
     run_particle_filter,
     validate_config,
 )
-from ksplab import harness
+from ksplab import filters, harness
+from ksplab.config import read_document
 from ksplab.csvio import read_csv, write_csv
 from ksplab.filters import _log_norm
 from ksplab.harness import (
@@ -34,9 +36,13 @@ from ksplab.harness import (
     run_pricing_demo,
     run_scenario,
 )
-from ksplab.observation import check_novikov
+from ksplab.kalman import LinearModel
+from ksplab.observation import check_novikov, simulate_observation
+from ksplab.sde import simulate_path
 
 from conftest import brownian_motion, constant_sensor, identity_sensor, ornstein_uhlenbeck
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 SMALL = {
     "linear_compare": {"n_particles": 400, "horizon": 0.2, "n_grid": 201},
@@ -359,6 +365,7 @@ class LayerFailed(ValueError):
     """Raised by a patched filter layer; module level, so it pickles."""
 
 
+@pytest.mark.usefixtures("hang_guard")
 class TestOracleChild:
     """linear_compare runs Kalman and the grid in a forked child while the
     particle filter runs in the calling process."""
@@ -416,6 +423,238 @@ class TestOracleChild:
         assert_same_data_files(forked, inline)
 
 
+def shipped_linear_config(out_dir, **extra):
+    with open(os.path.join(ROOT, "configs", "linear_compare.json"), encoding="utf-8") as fh:
+        _, raw = read_document(fh.read(), "linear_compare")
+    return validate_config("linear_compare", {**raw, **extra}, {"output_dir": out_dir})
+
+
+def wait_for_value(child):
+    deadline = time.monotonic() + 60.0
+    while not child.poll():
+        assert time.monotonic() < deadline, "the child's value never arrived"
+        time.sleep(0.001)
+
+
+class HandoffAt:
+    """A child link whose value shows at the K-th poll and not before (never
+    for K = None).  The noise source polls once a step from step 1 until the
+    handoff, so the handoff comes at step K; it counts the frames read."""
+
+    def __init__(self, child, K):
+        self.child, self.K, self.polls, self.frames = child, K, 0, 0
+
+    def poll(self):
+        self.polls += 1
+        if self.K is None or self.polls < self.K:
+            return False
+        wait_for_value(self.child)
+        return True
+
+    def frame(self, buf):
+        self.frames += 1
+        self.child.frame(buf)
+
+    def __getattr__(self, name):
+        return getattr(self.child, name)
+
+
+def counted_frames(monkeypatch):
+    """Patch _Child.frame to count the frames this process reads."""
+    real, frames = harness._Child.frame, []
+
+    def frame(self, buf):
+        frames.append(buf.size)
+        real(self, buf)
+
+    monkeypatch.setattr(harness._Child, "frame", frame)
+    return frames
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+needs_proc_fd = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+
+
+@pytest.mark.usefixtures("hang_guard")
+class TestNoiseHandoff:
+    """Once linear_compare's child has sent its oracles, it draws the particle
+    filter's noise for the steps this process has not reached and streams it
+    here; the noise is the same whichever process draws it."""
+
+    N = 300
+
+    @pytest.fixture(scope="class")
+    def record(self):
+        model = LinearModel(F=[[-1.0]], f0=[0.0], sigma=[[1.0]], H=[[1.0]], h0=[0.0])
+        sm = model.as_diffusion_model(InitialLaw.gaussian([0.0], [[1.0]]))
+        om = model.as_observation_model()
+        obs = simulate_observation(om, simulate_path(sm, 0.1, 1e-3, RngStream(5, 1)), RngStream(5, 2))
+        return sm, om, obs
+
+    @pytest.mark.parametrize("where", ["1", "n/2", "n-1", "never"])
+    def test_resampling_every_step_keeps_its_bits(self, record, where, monkeypatch):
+        # with resample_threshold near 1 almost every step resamples, so the
+        # uniform the child draws after the increments is used
+        sm, om, obs = record
+        real_indices, resampled = filters._kernels.resample_indices, []
+
+        def resample_indices(cw, u0, n_out):
+            resampled.append(u0)
+            return real_indices(cw, u0, n_out)
+
+        monkeypatch.setattr(filters._kernels, "resample_indices", resample_indices)
+        rng, n_steps = RngStream(5, 3), obs.times.size - 1
+        K = {"1": 1, "n/2": n_steps // 2, "n-1": n_steps - 1, "never": None}[where]
+
+        def particle(n_particles, noise=None):
+            return run_particle_filter(
+                sm, om, obs, n_particles, rng, resample_threshold=0.99999, noise=noise
+            )
+
+        ref = particle(self.N)
+        assert len(resampled) > 0.8 * n_steps
+        links = []
+
+        def work(child):
+            links.append(HandoffAt(child, K))
+            return particle(self.N, harness._noise_from_child(links[0], rng, obs.dt, n_steps + 1))
+
+        oracle, est = harness._alongside(
+            lambda emit: "oracles",
+            work,
+            serve=functools.partial(harness._noise_frames, rng, obs.dt),
+        )
+        assert oracle == "oracles"
+        assert links[0].frames == (0 if K is None else n_steps - K)
+        np.testing.assert_array_equal(est.ess, ref.ess)
+        assert est.moments.keys() == ref.moments.keys()
+        for name in ref.moments:
+            np.testing.assert_array_equal(est.moments[name], ref.moments[name], err_msg=name)
+        assert_no_child_left()
+
+    def test_shipped_config_resampling_same_bytes_without_fork(self, tmp_path, monkeypatch):
+        frames = counted_frames(monkeypatch)
+        forked = str(tmp_path / "forked")
+        assert run_linear_compare(shipped_linear_config(forked, resample_threshold=0.999)).passed
+        assert frames, "the child's oracles came after the particle filter's last step"
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        inline = str(tmp_path / "inline")
+        run_linear_compare(shipped_linear_config(inline, resample_threshold=0.999))
+        assert_same_data_files(forked, inline)
+
+    @needs_proc_fd
+    def test_child_not_asked_reads_eof_and_serves_nothing(self, tmp_path):
+        served = tmp_path / "served"
+
+        def serve(*args):
+            served.touch()
+            yield (np.zeros(1),)
+
+        def slow_oracles(emit):
+            time.sleep(0.05)
+            return "oracles"
+
+        before = open_fds()
+        assert harness._alongside(slow_oracles, lambda child: "particle", serve=serve) == (
+            "oracles",
+            "particle",
+        )
+        assert not served.exists()
+        assert open_fds() == before
+        assert_no_child_left()
+
+    def test_exception_while_serving_raised_here(self):
+        def serve(start):
+            yield (np.full(2, float(start)),)
+            raise LayerFailed(f"serving failed in {os.getpid()}")
+
+        def work(child):
+            wait_for_value(child)
+            child.request(4)
+            buf = np.empty(2)
+            child.frame(buf)
+            assert list(buf) == [4.0, 4.0]
+            child.frame(buf)
+
+        with pytest.raises(LayerFailed) as err:
+            harness._alongside(lambda emit: None, work, serve=serve)
+        assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
+        assert_no_child_left()
+
+    def test_grid_failure_stops_the_particle_layer_early(self, tmp_out, tmp_path, monkeypatch):
+        # a prior mean of 100 validates, but puts no mass on the grid [-6, 6]
+        grid_pid = tmp_path / "grid_pid"
+        real_grid, real_noise, steps = harness.run_grid_filter, harness._substream_noise, []
+
+        def run_grid_filter(*args, **kwargs):
+            grid_pid.write_text(str(os.getpid()))
+            return real_grid(*args, **kwargs)
+
+        def slow_noise(rng, shape, dt):
+            draw = real_noise(rng, shape, dt)
+
+            def counted(k):
+                steps.append(k)
+                time.sleep(0.002)  # 2 s for the 1000 steps, if none stopped them
+                return draw(k)
+
+            return counted
+
+        monkeypatch.setattr(harness, "run_grid_filter", run_grid_filter)
+        monkeypatch.setattr(harness, "_substream_noise", slow_noise)
+        cfg = small_config("linear_compare", tmp_out, prior_mean=100.0, horizon=1.0)
+        with pytest.raises(ValueError) as err:
+            run_linear_compare(cfg)
+        assert type(err.value) is ValueError
+        assert str(err.value) == "cannot normalize a zero density"
+        assert int(grid_pid.read_text()) != os.getpid()  # raised in the child
+        assert 0 < len(steps) < 500
+        assert_no_child_left()
+        assert not os.path.exists(os.path.join(tmp_out, "report.csv"))
+
+    @needs_proc_fd
+    def test_collapse_after_the_handoff_writes_the_sequential_bytes(self, tmp_path, monkeypatch):
+        for name in ("sequential", "forked"):
+            monkeypatch.undo()
+            if name == "sequential":
+                monkeypatch.delattr(os, "fork")
+            frames = counted_frames(monkeypatch)
+            real_pf, real_source, children, attempts = (
+                harness.run_particle_filter, harness._noise_from_child, [], [],
+            )
+
+            def noise_from_child(child, *args):
+                children.append(child)
+                return real_source(child, *args)
+
+            def run_particle_filter(*args, noise, **kwargs):
+                attempts.append(args[3])
+                if len(attempts) > 1:
+                    return real_pf(*args, noise=noise, **kwargs)
+                if children[0] is not None:
+                    wait_for_value(children[0])  # so the handoff comes at step 1
+                real_pf(*args, noise=noise, **kwargs)
+                raise EnsembleCollapseError("forced after the handoff")
+
+            monkeypatch.setattr(harness, "_noise_from_child", noise_from_child)
+            monkeypatch.setattr(harness, "run_particle_filter", run_particle_filter)
+            before = open_fds()
+            run_linear_compare(small_config("linear_compare", str(tmp_path / name)))
+            assert open_fds() == before
+            assert_no_child_left()
+            assert attempts == [400, 4000]
+            n_steps = round(SMALL["linear_compare"]["horizon"] / 1e-3)
+            # the first attempt read all but step 1 from the child, the rerun none
+            assert frames == ([] if name == "sequential" else [400 + 1] * (n_steps - 1)), name
+        assert_same_data_files(str(tmp_path / "sequential"), str(tmp_path / "forked"))
+
+
 def collapse_first_attempt(monkeypatch, emit_first):
     """Patch the runner's heston_filter so that its first attempt raises
     ``EnsembleCollapseError``, after running in full and emitting its
@@ -445,6 +684,7 @@ def counted_pricing(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("hang_guard")
 class TestFilterChild:
     """heston_demo runs its filter in a forked child that streams each
     posterior snapshot to this process, which prices it as it arrives."""
@@ -546,16 +786,17 @@ class TestFilterChild:
         assert 0.0 < timing["filter"] and sum(report.runtime.values()) <= timing["total"]
 
 
-@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@needs_proc_fd
+@pytest.mark.usefixtures("hang_guard")
 class TestNoLeaks:
     """No pipe end, other descriptor or child process outlives a run."""
 
     @pytest.mark.parametrize("scenario", sorted(RUNNERS))
     def test_descriptors_and_children_after_a_run(self, scenario, tmp_out):
-        before = sorted(os.listdir("/proc/self/fd"))
+        before = open_fds()
         report = run_scenario(small_config(scenario, tmp_out))
         assert report.checks
-        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert open_fds() == before
         assert_no_child_left()
 
 
