@@ -51,6 +51,7 @@ from .filters import (
     EnsembleCollapseError,
     ParticleEnsemble,
     _resample_with_offset,
+    _step_noise,
     _substream_noise,
     run_grid_filter,
     run_particle_filter,
@@ -199,6 +200,31 @@ def _pickled_exception(exc: BaseException) -> bytes:
         return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
+class _PipeReader:
+    """The file ``pickle.load`` reads a message body through: each read fills all it asks for.
+
+    So a body is unpickled as it is read, and never held whole beside the
+    objects it holds.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def readinto(self, buf) -> int:
+        _read_into(self._fh, buf)
+        return memoryview(buf).nbytes
+
+    def read(self, n: int) -> bytes:
+        buf = bytearray(n)
+        _read_into(self._fh, buf)
+        return bytes(buf)
+
+    def readline(self):
+        # pickle requires the method, but only protocol 0 calls it, and
+        # every message is pickled at protocol 4 or above
+        raise NotImplementedError
+
+
 class _Child:
     """This process's end of the child that :func:`_alongside` forks.
 
@@ -210,6 +236,7 @@ class _Child:
     def __init__(self, pid: int, data, requests, on_item):
         self.pid = pid
         self._data = data  # unbuffered, so select sees every byte not yet read
+        self._reader = _PipeReader(data)
         self._requests = requests
         self._on_item = on_item
         self._header = bytearray(_HEADER.size)
@@ -225,18 +252,17 @@ class _Child:
             if kind == b"f" and frame is not None and size == frame.nbytes:
                 _read_into(self._data, frame)
                 return
-            body = bytearray(size)
-            _read_into(self._data, body)
+            if kind != b"r" and (frame is not None or kind not in (b"i", b"v")):
+                raise ChildProcessError(f"forked child {self.pid} sent {kind!r} out of turn")
+            body = pickle.load(self._reader)
         except EOFError:
             raise ChildProcessError(f"forked child {self.pid} ended without a result") from None
         if kind == b"r":
-            raise pickle.loads(body)
-        if frame is not None or kind not in (b"i", b"v"):
-            raise ChildProcessError(f"forked child {self.pid} sent {kind!r} out of turn")
+            raise body
         if kind == b"i":
-            self._on_item(*pickle.loads(body))
+            self._on_item(*body)
         else:
-            self.value, self.arrived = pickle.loads(body), True
+            self.value, self.arrived = body, True
 
     def poll(self) -> bool:
         """Whether the value has arrived; reads only what the child has sent.
@@ -301,30 +327,33 @@ def _alongside(child_work, work, on_item=None, serve=None):
     With its value sent, the child may serve a stream: if ``work`` calls
     ``child.request(*args)``, the child sends each C-contiguous buffer of
     the sequences ``serve(*args)`` yields, one raw frame per sequence, which
-    ``child.frame(buf)`` reads into ``buf``.  A child that gets no request
-    before ``work`` returns reads EOF and ends without serving.  The child
-    ends with ``os._exit``, so no atexit handler or inherited buffer runs
-    twice.  If ``work`` or ``on_item`` raises, the child is killed, and the
-    child is always reaped before this returns or raises; ``work`` may end
-    it early with ``child.stop()``.  Where ``os.fork`` does not exist,
-    ``work(None)`` runs here and then ``child_work`` with ``on_item`` as its
-    ``emit``.
+    ``child.frame(buf)`` reads into ``buf``; with ``serve`` given the pipe
+    is enlarged to 1 MiB where Linux allows, so the child runs ahead.  A
+    child that gets no request before ``work`` returns reads EOF and ends
+    without serving.  The child ends with ``os._exit``, so no atexit
+    handler or inherited buffer runs twice.  If ``work`` or ``on_item``
+    raises, the child is killed, and the child is always reaped before this
+    returns or raises; ``work`` may end it early with ``child.stop()``.
+    Where ``os.fork`` does not exist, ``work(None)`` runs here and then
+    ``child_work`` with ``on_item`` as its ``emit``.
     """
     if not hasattr(os, "fork"):
         value = work(None)
         return child_work(on_item), value
 
-    import fcntl  # Unix only, as os.fork is
-
     r, w = os.pipe()
-    try:
-        # room for a dozen frames of 10^4 particles, so a serving child runs
-        # ahead instead of stalling in every write: in 16 alternating runs
-        # of the shipped linear_compare on 2 vCPUs, the default 64 KiB took
-        # the median total 6% above 1 MiB (0.436 against 0.410 s)
-        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-    except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
-        pass
+    if serve is not None:
+        import fcntl  # Unix only, as os.fork is
+
+        try:
+            # room for a dozen frames of 10^4 particles, so a serving child
+            # runs ahead instead of stalling in every write: in 16
+            # alternating runs of the shipped linear_compare on 2 vCPUs, the
+            # default 64 KiB took the median total 6% above 1 MiB (0.436
+            # against 0.410 s)
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
+            pass
     requests_r, requests_w = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -377,11 +406,16 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
 
     Step k's noise is drawn here (``filters._substream_noise``) until a
     poll, made at each step without waiting, finds the child's value.  That
-    step asks the child for steps k + 1 to ``n_times - 1`` and the particle
-    shape; the child (serving :func:`_noise_frames`) draws each with the
-    same helper from the same substream and sends it as one frame, the
-    increments and then the uniform, which this process reads into one of
-    two buffers made at the handoff.  So the noise is the same whichever process draws it.  An
+    step makes the generators of substreams k + 1 to ``n_times - 1`` here
+    and asks the child for their noise, sending their states and the
+    particle shape; the child (serving :func:`_noise_frames`) draws each
+    step's increments and uniform from its state with the same helper and
+    sends them as one frame, which this process reads into one buffer made
+    at the handoff.  So the noise is the same whichever process draws it.
+    The handoff step depends on timing, but this process makes every step's
+    generator whatever step it comes at, so the work it does at that layer
+    (``RngStream.generator``, which perfbench counts) repeats from run to
+    run; the set-up takes about 16 of the 150 us a step's noise costs.  An
     attempt made after a handoff (a collapse rerun) stops the child and
     draws its own noise.  Without a child (``None``) this process draws it
     all.
@@ -393,20 +427,22 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
         if handed_off:
             child.stop()
             return own
-        frames = []
+        buf = dv = None
 
         def draw(k):
-            nonlocal handed_off
-            if frames:
-                buf, dv = frames[k & 1]
+            nonlocal handed_off, buf, dv
+            if buf is not None:
                 child.frame(buf)
                 return dv, float(buf[-1])
             if child is not None and k + 1 < n_times and child.poll():
-                child.request(k + 1, n_times, shape)
+                states = []  # PCG64's (state, inc), a fraction of its state dict's size
+                for j in range(k + 1, n_times):
+                    pcg = rng.substream(j).generator().bit_generator.state["state"]
+                    states.append((pcg["state"], pcg["inc"]))
+                child.request(states, shape, dt)
                 handed_off = True
-                for _ in range(2):
-                    buf = np.empty(math.prod(shape) + 1)
-                    frames.append((buf, buf[:-1].reshape(shape)))
+                buf = np.empty(math.prod(shape) + 1)
+                dv = buf[:-1].reshape(shape)
             return own(k)
 
         return draw
@@ -414,15 +450,25 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
     return source
 
 
-def _noise_frames(rng: RngStream, dt: float, start: int, stop: int, shape: tuple):
-    """The child's half of :func:`_noise_from_child`: one frame per step ``start <= k < stop``.
+def _noise_frames(states: list, shape: tuple, dt: float):
+    """The child's half of :func:`_noise_from_child`: one frame per generator state.
 
-    Each frame is step k's increments and uniform, drawn as
-    ``filters._substream_noise`` draws them in the parent.
+    Each frame is the step's increments and uniform, drawn by
+    ``filters._step_noise`` from a generator set to the step's fresh PCG64
+    ``(state, inc)``, as ``filters._substream_noise`` draws them from a
+    fresh generator of the step's substream.
     """
-    draw = _substream_noise(rng, shape, dt)
-    for k in range(start, stop):
-        dv, u = draw(k)
+    bits = np.random.PCG64()
+    gen = np.random.Generator(bits)
+    dv = np.empty(shape)
+    for state, inc in states:
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        u = _step_noise(gen, dv, dt)
         yield dv, np.float64(u)
 
 
@@ -487,7 +533,7 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
             )
 
     ((kal_means, kal_covs), grid, oracle_times), (pf, n_used) = _alongside(
-        oracles, particle, serve=functools.partial(_noise_frames, pf_rng, obs.dt)
+        oracles, particle, serve=_noise_frames
     )
     report.runtime.update(oracle_times)
     kal_mean = kal_means[:, 0]

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import os
@@ -471,6 +470,34 @@ def counted_frames(monkeypatch):
     return frames
 
 
+def counted_generators(monkeypatch):
+    """Patch RngStream.generator to record each stream this process makes a generator of."""
+    real, made = RngStream.generator, []
+
+    def generator(self):
+        made.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RngStream, "generator", generator)
+    return made
+
+
+def stream_ids(streams):
+    return sorted(s.stream_id for s in streams)
+
+
+def handoff_at(monkeypatch, K):
+    """Patch linear_compare's noise source so that its handoff comes at step K."""
+    real, links = harness._noise_from_child, []
+
+    def noise_from_child(child, *args):
+        links.append(HandoffAt(child, K))
+        return real(links[-1], *args)
+
+    monkeypatch.setattr(harness, "_noise_from_child", noise_from_child)
+    return links
+
+
 def open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
@@ -516,21 +543,22 @@ class TestNoiseHandoff:
                 sm, om, obs, n_particles, rng, resample_threshold=0.99999, noise=noise
             )
 
+        made = counted_generators(monkeypatch)
         ref = particle(self.N)
         assert len(resampled) > 0.8 * n_steps
+        assert made == [rng.substream(k) for k in range(n_steps + 1)]
+        made.clear()
         links = []
 
         def work(child):
             links.append(HandoffAt(child, K))
             return particle(self.N, harness._noise_from_child(links[0], rng, obs.dt, n_steps + 1))
 
-        oracle, est = harness._alongside(
-            lambda emit: "oracles",
-            work,
-            serve=functools.partial(harness._noise_frames, rng, obs.dt),
-        )
+        oracle, est = harness._alongside(lambda emit: "oracles", work, serve=harness._noise_frames)
         assert oracle == "oracles"
         assert links[0].frames == (0 if K is None else n_steps - K)
+        # this process makes every step's generator wherever the noise is drawn
+        assert stream_ids(made) == stream_ids(rng.substream(k) for k in range(n_steps + 1))
         np.testing.assert_array_equal(est.ess, ref.ess)
         assert est.moments.keys() == ref.moments.keys()
         for name in ref.moments:
@@ -538,15 +566,18 @@ class TestNoiseHandoff:
         assert_no_child_left()
 
     def test_shipped_config_resampling_same_bytes_without_fork(self, tmp_path, monkeypatch):
-        frames = counted_frames(monkeypatch)
+        links, made = handoff_at(monkeypatch, 500), counted_generators(monkeypatch)
         forked = str(tmp_path / "forked")
         assert run_linear_compare(shipped_linear_config(forked, resample_threshold=0.999)).passed
-        assert frames, "the child's oracles came after the particle filter's last step"
+        assert links[0].frames == 1000 - 500
+        forked_made = list(made)
         monkeypatch.undo()
         monkeypatch.delattr(os, "fork")
+        made = counted_generators(monkeypatch)
         inline = str(tmp_path / "inline")
         run_linear_compare(shipped_linear_config(inline, resample_threshold=0.999))
         assert_same_data_files(forked, inline)
+        assert stream_ids(forked_made) == stream_ids(made)
 
     @needs_proc_fd
     def test_child_not_asked_reads_eof_and_serves_nothing(self, tmp_path):
