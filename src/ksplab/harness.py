@@ -20,10 +20,6 @@ import functools
 import json
 import math
 import os
-import pickle
-import select
-import signal
-import struct
 import sys
 import time
 from contextlib import contextmanager
@@ -32,6 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import __version__
+from ._fork import _alongside
 from ._kernels import BACKEND
 # Unused here since thinning moved to filters; kept as a module attribute
 # because the scenario benchmark's span tracer (perfbench/spans.py) wraps
@@ -110,10 +107,10 @@ class ScenarioReport:
 
     @contextmanager
     def timed(self, name: str):
-        """Store the wall time of the ``with`` block in ``runtime[name]``."""
+        """Add the wall time of the ``with`` block to ``runtime[name]``."""
         t0 = time.perf_counter()
         yield
-        self.runtime[name] = time.perf_counter() - t0
+        self.runtime[name] = self.runtime.get(name, 0.0) + time.perf_counter() - t0
 
     def add(self, name: str, passed: bool, detail: str) -> None:
         self.checks.append(Check(name, bool(passed), detail))
@@ -176,231 +173,6 @@ def _run_with_collapse_recovery(run, n_particles: int):
         return run(10 * n_particles), 10 * n_particles
 
 
-# a message from a forked child: its kind and the size of its body in bytes
-_HEADER = struct.Struct("<cQ")
-
-
-def _read_into(fh, buf) -> None:
-    """Fill the bytes of ``buf`` from the unbuffered reader ``fh``; ``EOFError`` if it ends first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        n = fh.readinto(view)
-        if not n:
-            raise EOFError
-        view = view[n:]
-
-
-def _pickled_exception(exc: BaseException) -> bytes:
-    """``exc`` pickled, or a ``RuntimeError`` naming its type if it does not survive pickling."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)  # the parent must be able to rebuild it
-        return data
-    except Exception:
-        return pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-
-
-class _PipeReader:
-    """The file ``pickle.load`` reads a message body through: each read fills all it asks for.
-
-    So a body is unpickled as it is read, and never held whole beside the
-    objects it holds.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def readinto(self, buf) -> int:
-        _read_into(self._fh, buf)
-        return memoryview(buf).nbytes
-
-    def read(self, n: int) -> bytes:
-        buf = bytearray(n)
-        _read_into(self._fh, buf)
-        return bytes(buf)
-
-    def readline(self):
-        # pickle requires the method, but only protocol 0 calls it, and
-        # every message is pickled at protocol 4 or above
-        raise NotImplementedError
-
-
-class _Child:
-    """This process's end of the child that :func:`_alongside` forks.
-
-    Each message from the child is a :data:`_HEADER` and a body: an item
-    (``b"i"``), the value (``b"v"``) or the exception it raised (``b"r"``),
-    each pickled, or a frame (``b"f"``) of raw bytes.
-    """
-
-    def __init__(self, pid: int, data, requests, on_item):
-        self.pid = pid
-        self._data = data  # unbuffered, so select sees every byte not yet read
-        self._reader = _PipeReader(data)
-        self._requests = requests
-        self._on_item = on_item
-        self._header = bytearray(_HEADER.size)
-        self.arrived = False
-        self.value = None
-        self._reaped = False
-
-    def _receive(self, frame=None) -> None:
-        """Read the next message; a frame goes into ``frame``, a C-contiguous array."""
-        try:
-            _read_into(self._data, self._header)
-            kind, size = _HEADER.unpack(self._header)
-            if kind == b"f" and frame is not None and size == frame.nbytes:
-                _read_into(self._data, frame)
-                return
-            if kind != b"r" and (frame is not None or kind not in (b"i", b"v")):
-                raise ChildProcessError(f"forked child {self.pid} sent {kind!r} out of turn")
-            body = pickle.load(self._reader)
-        except EOFError:
-            raise ChildProcessError(f"forked child {self.pid} ended without a result") from None
-        if kind == b"r":
-            raise body
-        if kind == b"i":
-            self._on_item(*body)
-        else:
-            self.value, self.arrived = body, True
-
-    def poll(self) -> bool:
-        """Whether the value has arrived; reads only what the child has sent.
-
-        Items met on the way go to ``on_item``, and an exception the child
-        sent is raised here.
-        """
-        while not self.arrived and select.select([self._data], [], [], 0)[0]:
-            self._receive()
-        return self.arrived
-
-    def result(self):
-        """Close the request pipe, then wait for the value and return it.
-
-        A child waiting for a request reads EOF and ends; items that arrive
-        meanwhile go to ``on_item``.
-        """
-        self._requests.close()
-        while not self.arrived:
-            self._receive()
-        return self.value
-
-    def request(self, *args) -> None:
-        """Ask the child, once its value has arrived, for the frames of ``serve(*args)``."""
-        pickle.dump(args, self._requests)
-        self._requests.flush()
-
-    def frame(self, buf: np.ndarray) -> None:
-        """Read the next frame the child serves into ``buf``, which must match its size."""
-        self._receive(buf)
-
-    def close(self) -> None:
-        """Close both pipes and reap the child, which a closed pipe ends if it still writes."""
-        self._requests.close()
-        self._data.close()
-        if not self._reaped:
-            os.waitpid(self.pid, 0)
-            self._reaped = True
-
-    def stop(self) -> None:
-        """Kill and reap the child; a value that has arrived stays."""
-        if not self._reaped:
-            os.kill(self.pid, signal.SIGKILL)
-        self.close()
-
-
-def _alongside(child_work, work, on_item=None, serve=None):
-    """Return ``(child_work(emit), work(child))``, the first computed in a forked child.
-
-    The child runs ``child_work`` while this process runs ``work``, so two
-    CPU-bound Python loops that would take turns on the GIL in threads run
-    at once.  ``work`` gets the :class:`_Child` (``None`` without a fork).
-    Before it returns, ``child_work`` may call ``emit(*item)`` any number
-    of times: each item goes through the pipe at once, and this process
-    calls ``on_item(*item)`` for each in order whenever it reads the pipe:
-    at ``child.poll()``, which never waits for a child still working, and
-    once ``work`` has returned, while the child works on.  Then the child
-    sends its value or the exception it raised, which this process raises
-    as its own when it reads it (as a ``RuntimeError`` naming its type if
-    it does not survive pickling).
-
-    With its value sent, the child may serve a stream: if ``work`` calls
-    ``child.request(*args)``, the child sends each C-contiguous buffer of
-    the sequences ``serve(*args)`` yields, one raw frame per sequence, which
-    ``child.frame(buf)`` reads into ``buf``; with ``serve`` given the pipe
-    is enlarged to 1 MiB where Linux allows, so the child runs ahead.  A
-    child that gets no request before ``work`` returns reads EOF and ends
-    without serving.  The child ends with ``os._exit``, so no atexit
-    handler or inherited buffer runs twice.  If ``work`` or ``on_item``
-    raises, the child is killed, and the child is always reaped before this
-    returns or raises; ``work`` may end it early with ``child.stop()``.
-    Where ``os.fork`` does not exist, ``work(None)`` runs here and then
-    ``child_work`` with ``on_item`` as its ``emit``.
-    """
-    if not hasattr(os, "fork"):
-        value = work(None)
-        return child_work(on_item), value
-
-    r, w = os.pipe()
-    if serve is not None:
-        import fcntl  # Unix only, as os.fork is
-
-        try:
-            # room for a dozen frames of 10^4 particles, so a serving child
-            # runs ahead instead of stalling in every write: in 16
-            # alternating runs of the shipped linear_compare on 2 vCPUs, the
-            # default 64 KiB took the median total 6% above 1 MiB (0.436
-            # against 0.410 s)
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
-        except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
-            pass
-    requests_r, requests_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            os.close(requests_w)
-            with os.fdopen(w, "wb") as fh, os.fdopen(requests_r, "rb") as requests:
-
-                def send(kind, *parts):
-                    fh.write(_HEADER.pack(kind, sum(memoryview(p).nbytes for p in parts)))
-                    for part in parts:
-                        fh.write(part)
-                    fh.flush()
-
-                def emit(*item):
-                    # pickled whole before any byte is written
-                    send(b"i", pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-
-                try:
-                    send(b"v", pickle.dumps(child_work(emit), pickle.HIGHEST_PROTOCOL))
-                    if serve is not None:
-                        try:
-                            args = pickle.load(requests)
-                        except EOFError:  # the parent's work ended without asking
-                            args = None
-                        if args is not None:
-                            for parts in serve(*args):
-                                send(b"f", *parts)
-                except BaseException as exc:
-                    send(b"r", _pickled_exception(exc))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    os.close(requests_r)
-    child = _Child(pid, os.fdopen(r, "rb", buffering=0), os.fdopen(requests_w, "wb"), on_item)
-    try:
-        value = work(child)
-        return child.result(), value
-    except BaseException:
-        child.stop()
-        raise
-    finally:
-        child.close()
-
-
 def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
     """A noise source for :func:`run_particle_filter` that hands its drawing to ``child``.
 
@@ -410,8 +182,8 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
     and asks the child for their noise, sending their states and the
     particle shape; the child (serving :func:`_noise_frames`) draws each
     step's increments and uniform from its state with the same helper and
-    sends them as one frame, which this process reads into one buffer made
-    at the handoff.  So the noise is the same whichever process draws it.
+    sends them as one ``(dv, u)`` item, which this process reads at that
+    step.  So the noise is the same whichever process draws it.
     The handoff step depends on timing, but this process makes every step's
     generator whatever step it comes at, so the work it does at that layer
     (``RngStream.generator``, which perfbench counts) repeats from run to
@@ -427,13 +199,11 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
         if handed_off:
             child.stop()
             return own
-        buf = dv = None
 
         def draw(k):
-            nonlocal handed_off, buf, dv
-            if buf is not None:
-                child.frame(buf)
-                return dv, float(buf[-1])
+            nonlocal handed_off
+            if handed_off:
+                return child.item()
             if child is not None and k + 1 < n_times and child.poll():
                 states = []  # PCG64's (state, inc), a fraction of its state dict's size
                 for j in range(k + 1, n_times):
@@ -441,8 +211,6 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
                     states.append((pcg["state"], pcg["inc"]))
                 child.request(states, shape, dt)
                 handed_off = True
-                buf = np.empty(math.prod(shape) + 1)
-                dv = buf[:-1].reshape(shape)
             return own(k)
 
         return draw
@@ -451,9 +219,9 @@ def _noise_from_child(child, rng: RngStream, dt: float, n_times: int):
 
 
 def _noise_frames(states: list, shape: tuple, dt: float):
-    """The child's half of :func:`_noise_from_child`: one frame per generator state.
+    """The child's half of :func:`_noise_from_child`: one ``(dv, u)`` item per generator state.
 
-    Each frame is the step's increments and uniform, drawn by
+    Each item is the step's increments and uniform, drawn by
     ``filters._step_noise`` from a generator set to the step's fresh PCG64
     ``(state, inc)``, as ``filters._substream_noise`` draws them from a
     fresh generator of the step's substream.
@@ -469,7 +237,7 @@ def _noise_frames(states: list, shape: tuple, dt: float):
             "uinteger": 0,
         }
         u = _step_noise(gen, dv, dt)
-        yield dv, np.float64(u)
+        yield dv, u
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +273,15 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
     pf_rng = RngStream(seed, STREAM_PF)
 
     def oracles(_emit):
-        t0 = time.perf_counter()
-        beliefs = run_kalman(model, obs, prior)
-        # two stacked arrays pickle back smaller than a belief object per time
-        kalman = np.array([b.mean for b in beliefs]), np.array([b.cov for b in beliefs])
-        t1 = time.perf_counter()
-        grid = run_grid_filter(state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"])
-        return kalman, grid, {"kalman": t1 - t0, "grid": time.perf_counter() - t1}
+        with report.timed("kalman"):
+            beliefs = run_kalman(model, obs, prior)
+            # two stacked arrays travel back smaller than a belief object per time
+            kalman = np.array([b.mean for b in beliefs]), np.array([b.cov for b in beliefs])
+        with report.timed("grid"):
+            grid = run_grid_filter(
+                state_model, obs_model, obs, cfg["x_lo"], cfg["x_hi"], cfg["n_grid"]
+            )
+        return kalman, grid
 
     phi = (lambda x: x[..., 0], lambda x: np.ones_like(x), lambda x: np.zeros(x.shape + (1,)))
 
@@ -532,10 +302,9 @@ def run_linear_compare(cfg: ExperimentConfig, out: str, report: ScenarioReport) 
                 cfg["n_particles"],
             )
 
-    ((kal_means, kal_covs), grid, oracle_times), (pf, n_used) = _alongside(
-        oracles, particle, serve=_noise_frames
+    ((kal_means, kal_covs), grid), (pf, n_used) = _alongside(
+        oracles, particle, report.runtime, serve=_noise_frames
     )
-    report.runtime.update(oracle_times)
     kal_mean = kal_means[:, 0]
     kal_var = kal_covs[:, 0, 0]
     pf_mean = pf.moments["x"]
@@ -710,8 +479,6 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
         price_idx = np.unique(np.linspace(0, n_coarse - 1, cfg["n_price_times"], dtype=int))
 
     def filter_child(emit):
-        # without os.fork, emit prices here while the filter runs: leave that out
-        priced_before = report.runtime["pricing"]
         with report.timed("filter"):
             est, _ = _run_with_collapse_recovery(
                 lambda n: heston_filter(
@@ -725,7 +492,7 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
                 ),
                 cfg["n_particles"],
             )
-        return est, report.runtime["filter"] - (report.runtime["pricing"] - priced_before)
+        return est
 
     def recover(_child):
         with report.timed("recovery"):
@@ -733,23 +500,22 @@ def run_heston_demo(cfg: ExperimentConfig, out: str, report: ScenarioReport) -> 
 
     prices = np.full(n_coarse, np.nan)
     pricing_base = RngStream(seed, STREAM_PRICING)
-    report.runtime["pricing"] = 0.0  # the summed time of every price() call
+    report.runtime["pricing"] = 0.0  # each price() call adds its time; none may be made
 
     def price(k, ens):
-        t0 = time.perf_counter()
-        u0 = float(pricing_base.substream(2 * k).generator().uniform())
-        prices[k] = filtered_option_price(
-            _resample_with_offset(ens, u0, min(200, ens.n)),
-            model,
-            spec,
-            spot=float(paths.price[k * stride]),
-            inner_paths=cfg["inner_paths"],
-            rng=pricing_base.substream(2 * k + 1),
-            t_now=float(times[k]),
-        )
-        report.runtime["pricing"] += time.perf_counter() - t0
+        with report.timed("pricing"):
+            u0 = float(pricing_base.substream(2 * k).generator().uniform())
+            prices[k] = filtered_option_price(
+                _resample_with_offset(ens, u0, min(200, ens.n)),
+                model,
+                spec,
+                spot=float(paths.price[k * stride]),
+                inner_paths=cfg["inner_paths"],
+                rng=pricing_base.substream(2 * k + 1),
+                t_now=float(times[k]),
+            )
 
-    (est, report.runtime["filter"]), recovery = _alongside(filter_child, recover, price)
+    est, recovery = _alongside(filter_child, recover, report.runtime, price)
 
     truth_coarse = paths.variance[::stride]
     recovery_coarse = recovery[::stride]
