@@ -1,17 +1,19 @@
 """Run one function in a forked child while this process runs another.
 
-:func:`_alongside` is the package's one use of ``os.fork``.  Every message
-the child sends through its pipe is one pickle of ``(kind, body)``: an
-``"item"`` it emits or serves, its ``"value"`` with the layer times it
-recorded, or the exception it raised (``"raise"``).
+:func:`_alongside` is the package's one use of ``os.fork``.  Its two pipes
+are ``multiprocessing.connection`` pipes, which frame each message with its
+length.  Every message the child sends is one protocol-5 pickle of
+``(kind, body)``: an ``"item"`` it emits or serves, its ``"value"`` with the
+layer times it recorded, or the exception it raised (``"raise"``).  The
+first fork in a process imports ``multiprocessing`` (about 16 ms);
+``import ksplab`` does not, just as only ``master_demo``'s first
+``evolve_kernel`` imports scipy.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
-import select
 import signal
 import threading
 
@@ -25,25 +27,9 @@ def _picklable(exc: BaseException) -> BaseException:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-class _PipeReader(io.RawIOBase):
-    """The file ``pickle.load`` reads a message through: each read fills all it asks for.
-
-    So a message is unpickled as it is read from the unbuffered pipe, and
-    never held whole beside the objects it holds; ``EOFError`` if the pipe
-    ends first.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def readinto(self, buf) -> int:
-        view = memoryview(buf).cast("B")
-        while view:
-            n = self._fh.readinto(view)
-            if not n:
-                raise EOFError
-            view = view[n:]
-        return memoryview(buf).nbytes
+def _send(conn, message) -> None:
+    """Send ``message`` through ``conn`` as one pickle, made whole before a byte is written."""
+    conn.send_bytes(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
 
 
 class _Child:
@@ -51,8 +37,7 @@ class _Child:
 
     def __init__(self, pid: int, data, requests, on_item, runtime: dict):
         self.pid = pid
-        self._data = data  # unbuffered, so select sees every byte not yet read
-        self._reader = _PipeReader(data)
+        self._data = data
         self._requests = requests
         self._on_item = on_item
         self._runtime = runtime
@@ -68,8 +53,12 @@ class _Child:
         sent is raised here.
         """
         try:
-            kind, body = pickle.load(self._reader)
-        except EOFError:
+            kind, body = pickle.loads(self._data.recv_bytes())
+        except (EOFError, OSError) as exc:
+            # the pipe ended before a message (EOFError) or within one (a
+            # bare OSError); a subclass, such as a timeout, is raised as it is
+            if type(exc) not in (EOFError, OSError):
+                raise
             raise ChildProcessError(f"forked child {self.pid} ended without a result") from None
         if kind == "raise":
             raise body
@@ -84,7 +73,7 @@ class _Child:
 
     def poll(self) -> bool:
         """Whether the value has arrived; reads only what the child has sent."""
-        while not self.arrived and select.select([self._data], [], [], 0)[0]:
+        while not self.arrived and self._data.poll():
             self._receive()
         return self.arrived
 
@@ -101,8 +90,7 @@ class _Child:
 
     def request(self, *args) -> None:
         """Ask the child, once its value has arrived, for the items of ``serve(*args)``."""
-        pickle.dump(args, self._requests)
-        self._requests.flush()
+        _send(self._requests, args)
 
     def item(self) -> tuple:
         """Wait for the next item the child serves after its value, and return it."""
@@ -139,7 +127,9 @@ def _alongside(child_work, work, runtime: dict, on_item=None, serve=None):
     ``runtime`` here; or it sends the exception it raised, which this
     process raises as its own when it reads it (as a ``RuntimeError``
     naming its type if it does not survive pickling).  An item or value
-    that cannot be pickled makes the child raise.
+    that cannot be pickled makes the child raise.  A child that dies
+    before the message this process waits for has arrived whole makes this
+    raise ``ChildProcessError`` naming its pid.
 
     With its value sent, the child may serve a stream: if ``work`` calls
     ``child.request(*args)``, the child sends each item ``serve(*args)``
@@ -150,7 +140,9 @@ def _alongside(child_work, work, runtime: dict, on_item=None, serve=None):
     atexit handler or inherited buffer runs twice.  If ``work`` or
     ``on_item`` raises, the child is killed, and the child is always reaped
     before this returns or raises; ``work`` may end it early with
-    ``child.stop()``.
+    ``child.stop()``.  Both pipes are ``multiprocessing.connection.Pipe``
+    pairs, imported here, so the first fork in a process pays for that
+    import, as ``master_demo``'s first ``evolve_kernel`` pays for scipy's.
 
     Where ``os.fork`` does not exist, or another thread is running (a fork
     copies only the calling thread, so a lock another thread holds would
@@ -166,7 +158,9 @@ def _alongside(child_work, work, runtime: dict, on_item=None, serve=None):
             on_item(*item)
         return child_value, value
 
-    r, w = os.pipe()
+    from multiprocessing.connection import Pipe
+
+    r, w = Pipe(duplex=False)
     if serve is not None:
         import fcntl  # Unix only, as os.fork is
 
@@ -176,42 +170,35 @@ def _alongside(child_work, work, runtime: dict, on_item=None, serve=None):
             # alternating runs of the shipped linear_compare on 2 vCPUs, the
             # default 64 KiB took the median total 6% above 1 MiB (0.436
             # against 0.410 s)
-            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
+            fcntl.fcntl(w.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
         except (AttributeError, OSError):  # not Linux, or above the user's pipe limit
             pass
-    requests_r, requests_w = os.pipe()
+    requests_r, requests_w = Pipe(duplex=False)
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            os.close(r)
-            os.close(requests_w)
-            with os.fdopen(w, "wb") as fh, os.fdopen(requests_r, "rb") as requests:
-
-                def send(kind, body):
-                    # pickled whole before any byte is written
-                    fh.write(pickle.dumps((kind, body), pickle.HIGHEST_PROTOCOL))
-                    fh.flush()
-
-                try:
-                    runtime.clear()  # so only child_work's entries go back
-                    send("value", (child_work(lambda *item: send("item", item)), runtime))
-                    if serve is not None:
-                        try:
-                            args = pickle.load(requests)
-                        except EOFError:  # the parent's work ended without asking
-                            args = None
-                        if args is not None:
-                            for item in serve(*args):
-                                send("item", item)
-                except BaseException as exc:
-                    send("raise", _picklable(exc))
+            r.close()
+            requests_w.close()
+            try:
+                runtime.clear()  # so only child_work's entries go back
+                _send(w, ("value", (child_work(lambda *item: _send(w, ("item", item))), runtime)))
+                if serve is not None:
+                    try:
+                        args = pickle.loads(requests_r.recv_bytes())
+                    except EOFError:  # the parent's work ended without asking
+                        pass
+                    else:
+                        for item in serve(*args):
+                            _send(w, ("item", item))
+            except BaseException as exc:
+                _send(w, ("raise", _picklable(exc)))
             status = 0
         finally:
             os._exit(status)
-    os.close(w)
-    os.close(requests_r)
-    child = _Child(pid, os.fdopen(r, "rb", buffering=0), os.fdopen(requests_w, "wb"), on_item, runtime)
+    w.close()
+    requests_r.close()
+    child = _Child(pid, r, requests_w, on_item, runtime)
     try:
         value = work(child)
         return child.result(), value

@@ -160,6 +160,11 @@ def _cross_key_violations(scenario: str, p: dict, invalid: set) -> list[str]:
         # maturity lies past the horizon), and the last priced index is the
         # last coarse sample unless only one time is priced
         n_coarse = n_steps // p["filter_stride"] + 1
+        if n_coarse < 2:
+            found.append(
+                f"key 'filter_stride' = {p['filter_stride']!r} must not exceed the path's "
+                f"{n_steps} steps (ceil(horizon / dt)): the filter needs two samples"
+            )
         last = n_coarse - 1 if p["n_price_times"] > 1 else 0
         if p["maturity"] > p["horizon"] and 2 * last + 1 >= _SUBSTREAM_FACTOR:
             found.append(

@@ -1,12 +1,15 @@
 """The fork layer (ksplab._fork) and linear_compare's noise handoff.
 
 ``_alongside`` runs one function in a forked child while this process runs
-another; every message the child sends is one pickle of ``(kind, body)``.
+another; every message the child sends through its
+``multiprocessing.connection`` pipe is one pickle of ``(kind, body)``.
 Once linear_compare's child has sent its oracles, it serves the particle
 filter's noise for the steps this process has not reached.
 """
 
 import os
+import signal
+import struct
 import threading
 import time
 
@@ -45,6 +48,13 @@ def shipped_linear_config(out_dir, **extra):
     with open(os.path.join(ROOT, "configs", "linear_compare.json"), encoding="utf-8") as fh:
         _, raw = read_document(fh.read(), "linear_compare")
     return validate_config("linear_compare", {**raw, **extra}, {"output_dir": out_dir})
+
+
+def unread(fd):
+    """The number of bytes written to the pipe ``fd`` reads and not yet read."""
+    import fcntl, termios  # Unix only, as os.fork is
+
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, b"\0" * 4))[0]
 
 
 def wait_for_value(child):
@@ -330,6 +340,89 @@ class TestTransport:
 
         assert _alongside(child_work, work, runtime) == ("value", "work")
         assert runtime == {"before": 1.0, "parent": 4.0, "child": 3.0}
+        assert_no_child_left()
+
+    def test_poll_hands_items_over_without_waiting_for_the_value(self):
+        go_r, go_w = os.pipe()
+        got, polls = [], []
+
+        def child_work(emit):
+            for k in range(5):
+                emit(k, f"item {k}")
+            os.read(go_r, 1)  # works on until this process has seen every item
+            return "value"
+
+        def work(child):
+            deadline = time.monotonic() + 60.0
+            while len(got) < 5:
+                assert time.monotonic() < deadline, "the items never arrived"
+                polls.append(child.poll())
+                time.sleep(0.001)
+            polls.append(child.poll())
+            os.write(go_w, b"x")
+            wait_for_value(child)
+            return "work"
+
+        try:
+            assert _alongside(child_work, work, {}, lambda *item: got.append(item)) == (
+                "value",
+                "work",
+            )
+        finally:
+            os.close(go_r)
+            os.close(go_w)
+        assert got == [(k, f"item {k}") for k in range(5)]
+        assert polls and not any(polls)
+        assert_no_child_left()
+
+    def test_value_larger_than_the_pipe_arrives_whole(self):
+        def expected():
+            return np.random.default_rng(3).standard_normal(3 << 17)  # 3 MiB
+
+        def serve():  # never asked; given so that the data pipe is 1 MiB
+            yield ()
+
+        value, _ = _alongside(lambda emit: expected(), lambda child: None, {}, serve=serve)
+        assert value.dtype == np.float64
+        assert value.tobytes() == expected().tobytes()
+        assert_no_child_left()
+
+    @needs_proc_fd
+    def test_child_exit_without_a_value_raises_child_process_error(self):
+        pids = []
+        before = open_fds()
+        with pytest.raises(ChildProcessError) as err:
+            _alongside(lambda emit: os._exit(0), lambda child: pids.append(child.pid), {})
+        assert str(err.value) == f"forked child {pids[0]} ended without a result"
+        assert open_fds() == before
+        assert_no_child_left()
+
+    @needs_proc_fd
+    def test_child_killed_within_a_message_raises_child_process_error(self):
+        pids = []
+
+        def child_work(emit):
+            emit(np.zeros(1 << 20))  # 8 MiB, more than the pipe holds
+            return "never sent"
+
+        def work(child):
+            pids.append(child.pid)
+            deadline = time.monotonic() + 60.0
+            # more than the 4-byte length in the pipe: the item's body is
+            # being written, and cannot fit, so the child is blocked in it
+            while unread(child._data.fileno()) <= 4:
+                assert time.monotonic() < deadline, "the item was never written"
+                time.sleep(0.001)
+            os.kill(child.pid, signal.SIGKILL)
+
+        def on_item(*item):
+            raise AssertionError("an item cut short was handed over")
+
+        before = open_fds()
+        with pytest.raises(ChildProcessError) as err:
+            _alongside(child_work, work, {}, on_item)
+        assert str(err.value) == f"forked child {pids[0]} ended without a result"
+        assert open_fds() == before
         assert_no_child_left()
 
 

@@ -637,6 +637,11 @@ class TestCli:
         [
             ("linear_compare", ["x_lo=2.0", "x_hi=-2.0"], "x_lo"),
             ("heston_demo", ["horizon=0.05", "dt=1e-3", "window=51"], "window"),
+            (
+                "heston_demo",
+                ["horizon=0.05", "dt=1e-3", "window=10", "filter_stride=51"],
+                "filter_stride",
+            ),
             ("linear_compare", ["H=0"], "'H'"),
         ],
     )
@@ -730,7 +735,8 @@ def small_params(scenario, out_dir):
 
 class TestColdImport:
     """scipy is loaded only by `evolve_kernel`, so only `master_demo` pays for it;
-    the thread pool (and the logging it loads) only by a `novikov_check` run."""
+    the thread pool (and the logging it loads) only by a `novikov_check` run,
+    and multiprocessing, which carries the fork layer's messages, only by a fork."""
 
     @pytest.mark.parametrize("code", ["import ksplab", "import ksplab.harness, ksplab.cli"])
     def test_import_leaves_scipy_unloaded(self, code):
@@ -742,9 +748,10 @@ class TestColdImport:
     def test_scenario_leaves_scipy_unloaded(self, scenario, tmp_path):
         assert not loaded_after("scipy", RUN_SMALL, scenario, small_params(scenario, str(tmp_path)))
 
-    @pytest.mark.parametrize("module", ["concurrent.futures", "logging"])
+    @pytest.mark.parametrize("module", ["concurrent.futures", "logging", "multiprocessing"])
     def test_import_leaves_thread_pool_unloaded(self, module):
-        # novikov_check imports its executor when it runs, not at import
+        # novikov_check imports its executor, and _alongside its pipes, when
+        # they run, not at import
         assert not loaded_after(module, "import ksplab.harness, ksplab.cli")
 
     def test_master_demo_loads_scipy(self, tmp_path):
