@@ -637,12 +637,12 @@ class TestCli:
         [
             ("linear_compare", ["x_lo=2.0", "x_hi=-2.0"], "x_lo"),
             ("heston_demo", ["horizon=0.05", "dt=1e-3", "window=51"], "window"),
+            ("linear_compare", ["H=0"], "'H'"),
             (
                 "heston_demo",
                 ["horizon=0.05", "dt=1e-3", "window=10", "filter_stride=51"],
                 "filter_stride",
             ),
-            ("linear_compare", ["H=0"], "'H'"),
         ],
     )
     def test_cross_key_violation_exit_2(self, scenario, sets, token, tmp_path):
